@@ -73,7 +73,7 @@ class Module:
             mine_buf[name][...] = b
 
     def weight_bytes(self) -> bytes:
-        """Canonical byte image of all parameters and buffers (for handoff checks)."""
+        """Canonical byte image of all parameters and buffers (for bitwise comparisons)."""
         return b"".join(arr.astype("<f8").tobytes() for _, arr in self.state_arrays())
 
 

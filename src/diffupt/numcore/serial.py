@@ -35,27 +35,31 @@ def save_state(path, arrays: list[tuple[str, np.ndarray]]) -> None:
 
 
 def load_state(path) -> dict[str, np.ndarray]:
+    """Read a weight file; a truncated or malformed file raises ``SerializationError``."""
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         raise SerializationError(f"{path}: bad magic bytes")
-    version, count = struct.unpack_from("<HI", buf, 4)
-    if version != _VERSION:
-        raise SerializationError(f"{path}: unsupported version {version}")
-    off = 10
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", buf, off)
-        off += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
-        out[name] = arr.astype(np.float64)
+    try:
+        version, count = struct.unpack_from("<HI", buf, 4)
+        if version != _VERSION:
+            raise SerializationError(f"{path}: unsupported version {version}")
+        off = 10
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", buf, off)
+            off += 2
+            name = buf[off : off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<B", buf, off)
+            off += 1
+            dims = struct.unpack_from(f"<{rank}I", buf, off)
+            off += 4 * rank
+            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(dims)
+            off += 8 * n
+            out[name] = arr.astype(np.float64)
+    except (struct.error, ValueError) as e:  # read past the end, bad utf-8, or impossible dims
+        raise SerializationError(f"{path}: truncated or corrupt weight file ({e})") from e
     if off != len(buf):
         raise SerializationError(f"{path}: trailing bytes after last array")
     return out

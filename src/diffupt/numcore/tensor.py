@@ -10,6 +10,14 @@ shapes, a python scalar, or a right operand whose shape equals the left
 operand's shape without the leading batch dimension. Anything else needs
 an explicit reshape. Conditioning-style per-channel additions go through
 the dedicated ``add_channel_bias`` op.
+
+``conv2d`` takes and returns NCHW tensors but works internally in a
+batch-innermost (C, H, W, B) layout. In NCHW every run that im2col copies
+or col2im scatters is only ``wout`` values long (2 to 8 at this pipeline's
+feature-map sizes); batch-innermost, each run is at least B long, and the
+weight-gradient GEMM takes the patch matrix as a transposed view instead of
+a transposing copy. The input is transposed once into the padded buffer,
+and the output and its gradient once on the way out and back in.
 """
 
 from __future__ import annotations
@@ -367,30 +375,44 @@ def upsample2x(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution (im2col)
+# 2-D convolution (im2col in the (C, H, W, B) layout, see the module docstring)
 # ---------------------------------------------------------------------------
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    B, C, _, _ = xp.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, hout, wout, kh, kw)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3)
-    return cols.reshape(B, C * kh * kw, hout * wout)
+    """Patch matrix (C*kh*kw, hout*wout*B) of a padded (C, Hp, Wp, B) input.
+
+    Row order matches ``w.reshape(Cout, -1)``; columns run over output
+    position, batch innermost. It is filled by one slice copy per kernel tap,
+    and every contiguous run of such a copy is B values long.
+    """
+    C, _, _, B = xp.shape
+    cols = np.empty((C, kh, kw, hout, wout, B), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride]
+    return cols.reshape(C * kh * kw, hout * wout * B)
 
 
 def _col2im(cols: np.ndarray, padded_shape, kh, kw, stride, hout, wout) -> np.ndarray:
-    B, C, Hp, Wp = padded_shape
-    xg = np.zeros((B, C, Hp, Wp), dtype=np.float64)
-    cols = cols.reshape(B, C, kh, kw, hout, wout)
+    """Adjoint of ``_im2col``: scatter-add patch columns into a (C, Hp, Wp, B) buffer."""
+    C, Hp, Wp, B = padded_shape
+    xg = np.zeros((C, Hp, Wp, B), dtype=np.float64)
+    cols = cols.reshape(C, kh, kw, hout, wout, B)
     for i in range(kh):
         for j in range(kw):
-            xg[:, :, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, :, i, j]
+            xg[:, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, i, j]
     return xg
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution of (B,Cin,H,W) with kernels (Cout,Cin,KH,KW)."""
+    """2-D convolution of (B,Cin,H,W) with kernels (Cout,Cin,KH,KW).
+
+    Inputs and output are NCHW; the work is done in the (C, H, W, B) layout
+    described in the module docstring. The input gradient is computed only
+    when ``x`` requires grad, which the first conv of a network (fed images,
+    latents or noisy latents) never does.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
     B, Cin, H, W = x.shape
@@ -404,32 +426,27 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     if hout < 1 or wout < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    padded_shape = (Cin, H + 2 * pad, W + 2 * pad, B)
+    xp = np.zeros(padded_shape, dtype=np.float64)
+    xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(1, 2, 3, 0)
     cols = _im2col(xp, KH, KW, stride, hout, wout)
+    del xp  # free the padded copy before the GEMM allocates its output
     w2 = w.data.reshape(Cout, -1)
-    out = np.matmul(w2, cols)  # (B, Cout, hout*wout)
+    out = w2 @ cols  # (Cout, hout*wout*B)
     if bias is not None:
-        out = out + bias.data.reshape(1, Cout, 1)
-    value = out.reshape(B, Cout, hout, wout)
+        out += bias.data[:, None]
+    value = out.reshape(Cout, hout, wout, B).transpose(3, 0, 1, 2)
 
     def back(g):
-        gf = g.reshape(B, Cout, hout * wout)
-        ckk = Cin * KH * KW
-        l = hout * wout
-        gw = (
-            gf.transpose(1, 0, 2).reshape(Cout, B * l) @ cols.transpose(0, 2, 1).reshape(B * l, ckk)
-        ).reshape(w.shape)
-        gcols = np.matmul(w2.T, gf)
-        gx = _col2im(gcols, (B, Cin, H + 2 * pad, W + 2 * pad), KH, KW, stride, hout, wout)
-        if pad:
-            gx = gx[:, :, pad:-pad, pad:-pad]
-        gb = gf.sum(axis=(0, 2)) if bias is not None else None
-        return gx, gw, gb
+        gf = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(Cout, hout * wout * B)
+        gw = (gf @ cols.T).reshape(w.shape)
+        gx = None
+        if x.requires_grad:
+            gx = _col2im(w2.T @ gf, padded_shape, KH, KW, stride, hout, wout)
+            gx = gx[:, pad : pad + H, pad : pad + W].transpose(3, 0, 1, 2)
+        if bias is None:
+            return gx, gw
+        return gx, gw, gf.sum(axis=1)
 
     inputs = (x, w, bias) if bias is not None else (x, w)
-
-    def back_nobias(g):
-        gx, gw, _ = back(g)
-        return gx, gw
-
-    return _make(value, "conv2d", inputs, back if bias is not None else back_nobias)
+    return _make(value, "conv2d", inputs, back)

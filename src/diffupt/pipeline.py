@@ -273,12 +273,6 @@ class DiffuPTResult:
     test: M.EvalReport
     synthetic: LabeledDataset
     generation_stats: GenerationStats
-    pretrained_weight_bytes: bytes
-    finetune_start_weight_bytes: bytes
-
-    @property
-    def handoff_bitwise(self) -> bool:
-        return self.pretrained_weight_bytes == self.finetune_start_weight_bytes
 
 
 @dataclass
@@ -328,15 +322,12 @@ def diffupt_run(
         stack = ctx.ensure_stack(splits, rng)
         synthetic, stats = generate_balanced_dataset(stack, cfg.generation, baseline, rng.split("generate"))
     else:
-        stats = GenerationStats(requested=cfg.generation.target_counts, kept=tuple(reversed(synthetic.class_counts)))
+        stats = GenerationStats(requested=cfg.generation.target_counts, kept=synthetic.class_counts)
 
     model = ctx.new_classifier(splits, rng.split("diffupt-init"))
     if len(synthetic):
         train_classifier(model, synthetic, cfg.pretrain, rng.split("pretrain"), val_ds=splits.val)
-    pretrained_bytes = model.weight_bytes()
     pretrain_val = _evaluate(model, splits.val)
-
-    finetune_start_bytes = model.weight_bytes()
     train_classifier(model, splits.train, cfg.finetune, rng.split("finetune"), val_ds=splits.val)
 
     return DiffuPTResult(
@@ -346,8 +337,6 @@ def diffupt_run(
         test=_evaluate(model, splits.test),
         synthetic=synthetic,
         generation_stats=stats,
-        pretrained_weight_bytes=pretrained_bytes,
-        finetune_start_weight_bytes=finetune_start_bytes,
     )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffupt.numcore import (
     Conv2d,
@@ -11,6 +13,7 @@ from diffupt.numcore import (
     NonFiniteError,
     Parameter,
     RngStream,
+    SerializationError,
     ShapeError,
     Tensor,
     adam_step,
@@ -99,6 +102,118 @@ def test_conv2d_bruteforce_all_small_shapes(h, k):
             ref = conv2d_bruteforce(x, w, stride=stride, pad=pad)
             assert np.array_equal(ours.shape, ref.shape)
             assert np.allclose(ours, ref, atol=1e-12)
+
+
+def central_difference(loss, t, h=1e-6):
+    """Numeric gradient of the scalar ``loss()`` with respect to every entry of ``t``."""
+    flat = t.data.reshape(-1)
+    num = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        with no_grad():
+            hi = loss().item()
+        flat[i] = orig - h
+        with no_grad():
+            lo = loss().item()
+        flat[i] = orig
+        num[i] = (hi - lo) / (2 * h)
+    return num.reshape(t.shape)
+
+
+def conv2d_einsum_reference(x, w, b, g, stride, pad):
+    """NCHW oracle, one einsum per kernel tap (no im2col): output and the
+    gradients of sum(output * g) with respect to x, w and b."""
+    KH, KW = w.shape[2:]
+    H, W = x.shape[2:]
+    hout, wout = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros(g.shape)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(KH):
+        for j in range(KW):
+            tap = (slice(None), slice(None), slice(i, i + stride * hout, stride), slice(j, j + stride * wout, stride))
+            out += np.einsum("bchw,oc->bohw", xp[tap], w[:, :, i, j])
+            gw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, xp[tap])
+            gxp[tap] += np.einsum("bohw,oc->bchw", g, w[:, :, i, j])
+    out += b[None, :, None, None]
+    return out, gxp[:, :, pad : pad + H, pad : pad + W], gw, g.sum(axis=(0, 2, 3))
+
+
+def _rel_err(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+def test_einsum_reference_matches_bruteforce():
+    rng = RngStream(12)
+    x, w = rng.normal((3, 2, 7, 6)), rng.normal((4, 2, 3, 3))
+    for stride in (1, 2):
+        for pad in (0, 1):
+            ref = conv2d_bruteforce(x, w, stride=stride, pad=pad)
+            out, *_ = conv2d_einsum_reference(x, w, np.zeros(4), np.zeros(ref.shape), stride, pad)
+            assert _rel_err(out, ref) < 1e-13
+
+
+# (input, kernel, stride) of convs the pipeline runs, at its batch sizes; all use pad 1
+PIPELINE_CONV_SHAPES = [
+    ((32, 1, 16, 16), (8, 1, 3, 3), 2),
+    ((32, 16, 4, 4), (16, 16, 3, 3), 1),
+    ((32, 32, 8, 8), (16, 32, 3, 3), 1),
+    ((32, 16, 16, 16), (1, 16, 3, 3), 1),
+    ((250, 32, 2, 2), (32, 32, 3, 3), 1),
+]
+
+
+@pytest.mark.parametrize("xshape,wshape,stride", PIPELINE_CONV_SHAPES)
+def test_conv2d_forward_backward_match_einsum_at_pipeline_shapes(xshape, wshape, stride):
+    rng = RngStream(sum(xshape) + sum(wshape))
+    x = Tensor(rng.normal(xshape), requires_grad=True)
+    w = Tensor(rng.normal(wshape), requires_grad=True)
+    b = Tensor(rng.normal((wshape[0],)), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, pad=1)
+    g = rng.normal(out.shape)
+    backward((out * Tensor(g)).sum())
+    ref_out, ref_gx, ref_gw, ref_gb = conv2d_einsum_reference(x.data, w.data, b.data, g, stride, 1)
+    for ours, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
+        assert ours.shape == ref.shape
+        assert _rel_err(ours, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_conv2d_gradients_match_finite_differences(stride, pad, with_bias):
+    # B=5 equals no channel, kernel, input or output extent, so a batch/channel
+    # mix-up in the internal layout cannot pass
+    rng = RngStream(300 + 4 * stride + 2 * pad + with_bias)
+    x = Tensor(rng.normal((5, 2, 8, 6)), requires_grad=True)
+    w = Tensor(rng.normal((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((3,)), requires_grad=True) if with_bias else None
+    out = conv2d(x, w, b, stride=stride, pad=pad)
+    r = Tensor(rng.normal(out.shape))
+
+    def loss():
+        return (conv2d(x, w, b, stride=stride, pad=pad) * r).sum()
+
+    backward(loss())
+    for t in (x, w) + ((b,) if with_bias else ()):
+        assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
+
+
+def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
+    calls = []
+    col2im = tops._col2im
+    monkeypatch.setattr(tops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+    rng = RngStream(21)
+    w = Tensor(rng.normal((4, 2, 3, 3)), requires_grad=True)
+    x = Tensor(rng.normal((3, 2, 5, 5)))
+    backward(conv2d(x, w, pad=1).sum())
+    assert x.grad is None and w.grad is not None
+    assert calls == []
+    x2 = Tensor(rng.normal((3, 2, 5, 5)), requires_grad=True)
+    backward(conv2d(x2, w, pad=1).sum())
+    assert len(calls) == 1 and x2.grad is not None
 
 
 def test_elementwise_broadcast_rules():
@@ -252,20 +367,7 @@ def test_mixed_op_gradient_check():
 
     backward(forward())
     for t in (table, x):
-        analytic = t.grad.copy()
-        flat = t.data.reshape(-1)
-        num = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-6
-            with no_grad():
-                hi = forward().item()
-            flat[i] = orig - 1e-6
-            with no_grad():
-                lo = forward().item()
-            flat[i] = orig
-            num[i] = (hi - lo) / 2e-6
-        assert np.allclose(analytic.reshape(-1), num, rtol=1e-5, atol=1e-8)
+        assert np.allclose(t.grad, central_difference(forward, t), rtol=1e-5, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +479,6 @@ def test_weight_file_roundtrip(tmp_path):
 def test_weight_file_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 16)
-    from diffupt.numcore import SerializationError
-
     with pytest.raises(SerializationError):
         load_state(p)
 
@@ -389,3 +489,33 @@ def test_save_state_plain_arrays(tmp_path):
     state = load_state(path)
     assert np.array_equal(state["a"], np.arange(6.0).reshape(2, 3))
     assert state["scalar"] == 5.0
+
+
+_VALID_STATE = [("conv.w", np.arange(24.0).reshape(2, 3, 2, 2)), ("scalar", np.array(5.0)), ("b", np.ones(3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_state_rejects_truncated_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("trunc") / "w.bin"
+    save_state(path, _VALID_STATE)
+    buf = path.read_bytes()
+    cut = data.draw(st.integers(0, len(buf) - 1), label="cut")
+    path.write_bytes(buf[:cut])
+    with pytest.raises(SerializationError):
+        load_state(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_state_corrupt_byte_raises_only_serialization_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("corrupt") / "w.bin"
+    save_state(path, _VALID_STATE)
+    buf = bytearray(path.read_bytes())
+    pos = data.draw(st.integers(0, len(buf) - 1), label="pos")
+    buf[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != buf[pos]), label="byte")
+    path.write_bytes(bytes(buf))
+    try:
+        load_state(path)  # a flipped float64 payload byte still parses
+    except SerializationError:
+        pass
