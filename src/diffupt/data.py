@@ -358,6 +358,9 @@ def make_sampler(spec: SamplerSpec, ds: LabeledDataset, rng: RngStream) -> Index
 # ---------------------------------------------------------------------------
 
 
+_SMOTE_BLOCK_VALUES = 1 << 19  # 4 MB of float64 per distance block
+
+
 def smote_oversample(minority: np.ndarray, k: int, n_new: int, rng: RngStream) -> np.ndarray:
     """New samples x_i + U(0,1) * (x_nn - x_i) with x_nn among k pixel-space neighbours."""
     x = np.asarray(minority, dtype=np.float64)
@@ -369,7 +372,12 @@ def smote_oversample(minority: np.ndarray, k: int, n_new: int, rng: RngStream) -
     if n_new == 0:
         return np.zeros((0,) + x.shape[1:])
     flat = x.reshape(m, -1)
-    d2 = np.sum((flat[:, None, :] - flat[None, :, :]) ** 2, axis=2)
+    # blocks of rows bound the (rows, m, D) difference tensor; each entry is the
+    # same sum of squared differences as one m*m*D pass would compute
+    d2 = np.empty((m, m))
+    step = max(1, _SMOTE_BLOCK_VALUES // (m * flat.shape[1]))
+    for i in range(0, m, step):
+        d2[i : i + step] = np.sum((flat[i : i + step, None, :] - flat[None, :, :]) ** 2, axis=2)
     np.fill_diagonal(d2, np.inf)
     knn = np.argsort(d2, axis=1)[:, :k]
 

@@ -18,6 +18,18 @@ feature-map sizes); batch-innermost, each run is at least B long, and the
 weight-gradient GEMM takes the patch matrix as a transposed view instead of
 a transposing copy. The input is transposed once into the padded buffer,
 and the output and its gradient once on the way out and back in.
+
+Each conv also expands its narrower side, chosen from shapes alone. The
+patch matrix has Cin*K*K rows per output position; a conv with few output
+channels (an autoencoder's last decoder layer, a denoiser's head) would
+build it only to reduce it to one or a few channels. A stride-1 conv with
+``Cout*Hp*Wp < Cin*hout*wout`` therefore multiplies the padded input by all
+K*K kernel taps at once and sums K*K shifted slices of the product (the
+"kn2row" ordering), and never builds a patch matrix. The stride-1 input
+gradient is itself a stride-1 convolution of the output gradient with the
+flipped, channel-swapped kernel (the transposed-convolution identity), so it
+is one patch matrix of the Cout-channel gradient and one GEMM, with no
+scatter-add; stride 2 keeps the scatter-add of patch columns.
 """
 
 from __future__ import annotations
@@ -174,8 +186,10 @@ def backward(loss: Tensor) -> None:
             if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
                 continue
             if inp.grad is None:
-                inp.grad = np.zeros_like(inp.data)
-            inp.grad += g
+                # a copy: g may be shared with another input or a read-only broadcast view
+                inp.grad = g.copy()
+            else:
+                inp.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +380,9 @@ def upsample2x(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"upsample2x expects (B,C,H,W), got {x.shape}")
     value = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    B, C, H, W = x.shape
 
     def back(g):
-        return (g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)),)
+        return (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2] + g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2],)
 
     return _make(value, "upsample2x", (x,), back)
 
@@ -409,9 +422,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     """2-D convolution of (B,Cin,H,W) with kernels (Cout,Cin,KH,KW).
 
     Inputs and output are NCHW; the work is done in the (C, H, W, B) layout
-    described in the module docstring. The input gradient is computed only
-    when ``x`` requires grad, which the first conv of a network (fed images,
-    latents or noisy latents) never does.
+    described in the module docstring, on whichever side of the conv is
+    narrower. A stride-1 conv whose output side is smaller than its patch
+    matrix (``Cout*Hp*Wp < Cin*hout*wout``, Hp and Wp the padded input
+    extents) multiplies the padded input by every kernel tap first and adds
+    the KH*KW shifted (Cout, hout, wout, B) slices of that product; its
+    weight gradient multiplies KH*KW shifted copies of the output gradient
+    by the padded input. Every other conv builds the patch matrix. The input
+    gradient is computed only when ``x`` requires grad, which the first conv
+    of a network (fed images, latents or noisy latents) never does; at
+    stride 1 it is the convolution of the output gradient, padded by
+    ``K-1-pad`` (cropped where that is negative), with the flipped kernel
+    whose in and out channels are swapped, and at stride 2 a scatter-add of
+    patch columns.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -426,27 +449,57 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     if hout < 1 or wout < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
 
-    padded_shape = (Cin, H + 2 * pad, W + 2 * pad, B)
-    xp = np.zeros(padded_shape, dtype=np.float64)
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
+    xp = np.zeros((Cin, Hp, Wp, B), dtype=np.float64)
     xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(1, 2, 3, 0)
-    cols = _im2col(xp, KH, KW, stride, hout, wout)
-    del xp  # free the padded copy before the GEMM allocates its output
     w2 = w.data.reshape(Cout, -1)
-    out = w2 @ cols  # (Cout, hout*wout*B)
+    # rhs is the right operand of the forward GEMM; the weight gradient reuses it
+    if output_side:
+        rhs = xp.reshape(Cin, Hp * Wp * B)
+        taps = w.data.transpose(2, 3, 0, 1).reshape(KH * KW * Cout, Cin)
+        y = (taps @ rhs).reshape(KH, KW, Cout, Hp, Wp, B)
+        out = np.zeros((Cout, hout, wout, B), dtype=np.float64)
+        for i in range(KH):
+            for j in range(KW):
+                out += y[i, j, :, i : i + hout, j : j + wout]
+        del y
+    else:
+        rhs = _im2col(xp, KH, KW, stride, hout, wout)
+        del xp  # free the padded copy before the GEMM allocates its output
+        out = (w2 @ rhs).reshape(Cout, hout, wout, B)
     if bias is not None:
-        out += bias.data[:, None]
-    value = out.reshape(Cout, hout, wout, B).transpose(3, 0, 1, 2)
+        out += bias.data[:, None, None, None]
+    value = out.transpose(3, 0, 1, 2)
 
     def back(g):
-        gf = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(Cout, hout * wout * B)
-        gw = (gf @ cols.T).reshape(w.shape)
+        g4 = g.transpose(1, 2, 3, 0)  # (Cout, hout, wout, B) view
+        if output_side:
+            shifted = np.zeros((KH, KW, Cout, Hp, Wp, B), dtype=np.float64)
+            for i in range(KH):
+                for j in range(KW):
+                    shifted[i, j, :, i : i + hout, j : j + wout] = g4
+            gw = shifted.reshape(KH * KW * Cout, -1) @ rhs.T
+            gw = gw.reshape(KH, KW, Cout, Cin).transpose(2, 3, 0, 1)
+        else:
+            gf = np.ascontiguousarray(g4).reshape(Cout, hout * wout * B)
+            gw = (gf @ rhs.T).reshape(w.shape)
         gx = None
-        if x.requires_grad:
-            gx = _col2im(w2.T @ gf, padded_shape, KH, KW, stride, hout, wout)
+        if x.requires_grad and stride == 1:
+            # g padded by K-1-pad on each side, or cropped by pad-(K-1) where that is positive
+            ch, cw = max(pad - KH + 1, 0), max(pad - KW + 1, 0)
+            src = g4[:, ch : hout - ch, cw : wout - cw]
+            qh, qw = max(KH - 1 - pad, 0), max(KW - 1 - pad, 0)
+            gp = np.zeros((Cout, H + KH - 1, W + KW - 1, B), dtype=np.float64)
+            gp[:, qh : qh + src.shape[1], qw : qw + src.shape[2]] = src
+            flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, -1)
+            gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)
+        elif x.requires_grad:
+            gx = _col2im(w2.T @ gf, (Cin, Hp, Wp, B), KH, KW, stride, hout, wout)
             gx = gx[:, pad : pad + H, pad : pad + W].transpose(3, 0, 1, 2)
         if bias is None:
             return gx, gw
-        return gx, gw, gf.sum(axis=1)
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
     inputs = (x, w, bias) if bias is not None else (x, w)
     return _make(value, "conv2d", inputs, back)

@@ -1,5 +1,7 @@
 """Data module tests: generation oracle, splits, weights, samplers, SMOTE."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,28 @@ def test_smote_outputs_stay_in_unit_interval():
     minority = rng.uniform((15, 1, 3, 3))
     out = smote_oversample(minority, k=4, n_new=300, rng=RngStream(9))
     assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def test_smote_distances_in_bounded_memory_match_one_pass():
+    minority = RngStream(10).uniform((300, 1, 16, 16))
+    tracemalloc.start()
+    try:
+        out = smote_oversample(minority, k=5, n_new=200, rng=RngStream(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+    # the one-pass m*m*D formula, with the same draws
+    flat = minority.reshape(300, -1)
+    d2 = np.sum((flat[:, None, :] - flat[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    knn = np.argsort(d2, axis=1)[:, :5]
+    rng = RngStream(11)
+    base, pick, lam = rng.integers((200,), 0, 300), rng.integers((200,), 0, 5), rng.uniform((200,))
+    lam = lam.reshape(200, 1, 1, 1)
+    ref = minority[base] + lam * (minority[knn[base, pick]] - minority[base])
+    assert np.array_equal(out, ref)
 
 
 # ---------------------------------------------------------------------------

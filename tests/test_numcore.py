@@ -162,6 +162,8 @@ PIPELINE_CONV_SHAPES = [
     ((32, 32, 8, 8), (16, 32, 3, 3), 1),
     ((32, 16, 16, 16), (1, 16, 3, 3), 1),
     ((250, 32, 2, 2), (32, 32, 3, 3), 1),
+    ((32, 32, 4, 4), (4, 32, 3, 3), 1),
+    ((32, 16, 4, 4), (4, 16, 3, 3), 1),
 ]
 
 
@@ -180,16 +182,20 @@ def test_conv2d_forward_backward_match_einsum_at_pipeline_shapes(xshape, wshape,
         assert _rel_err(ours, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
+# 2->3 channels builds the patch matrix; 4->1 at stride 1 takes the output side
+@pytest.mark.parametrize(
+    "stride,cin,cout",
+    [pytest.param(1, 2, 3, id="1"), pytest.param(2, 2, 3, id="2"), pytest.param(1, 4, 1, id="1-out_side")],
+)
+@pytest.mark.parametrize("pad", [0, 1, 3])  # pad 3 >= K crops the output gradient
 @pytest.mark.parametrize("with_bias", [True, False])
-def test_conv2d_gradients_match_finite_differences(stride, pad, with_bias):
+def test_conv2d_gradients_match_finite_differences(stride, cin, cout, pad, with_bias):
     # B=5 equals no channel, kernel, input or output extent, so a batch/channel
     # mix-up in the internal layout cannot pass
-    rng = RngStream(300 + 4 * stride + 2 * pad + with_bias)
-    x = Tensor(rng.normal((5, 2, 8, 6)), requires_grad=True)
-    w = Tensor(rng.normal((3, 2, 3, 3)), requires_grad=True)
-    b = Tensor(rng.normal((3,)), requires_grad=True) if with_bias else None
+    rng = RngStream(300 + 4 * stride + 2 * pad + with_bias + 16 * (cin - 2))
+    x = Tensor(rng.normal((5, cin, 8, 6)), requires_grad=True)
+    w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
     out = conv2d(x, w, b, stride=stride, pad=pad)
     r = Tensor(rng.normal(out.shape))
 
@@ -202,18 +208,21 @@ def test_conv2d_gradients_match_finite_differences(stride, pad, with_bias):
 
 
 def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
+    # during backward, _im2col (stride 1) or _col2im (stride 2) runs only for the input gradient
     calls = []
-    col2im = tops._col2im
-    monkeypatch.setattr(tops, "_col2im", lambda *a: calls.append(a) or col2im(*a))
+    for name in ("_im2col", "_col2im"):
+        fn = getattr(tops, name)
+        monkeypatch.setattr(tops, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
     rng = RngStream(21)
     w = Tensor(rng.normal((4, 2, 3, 3)), requires_grad=True)
-    x = Tensor(rng.normal((3, 2, 5, 5)))
-    backward(conv2d(x, w, pad=1).sum())
-    assert x.grad is None and w.grad is not None
-    assert calls == []
-    x2 = Tensor(rng.normal((3, 2, 5, 5)), requires_grad=True)
-    backward(conv2d(x2, w, pad=1).sum())
-    assert len(calls) == 1 and x2.grad is not None
+    for stride in (1, 2):
+        for needs_grad in (False, True):
+            x = Tensor(rng.normal((3, 2, 5, 5)), requires_grad=needs_grad)
+            loss = conv2d(x, w, stride=stride, pad=1).sum()
+            calls.clear()
+            backward(loss)
+            assert w.grad is not None and (x.grad is not None) == needs_grad
+            assert len(calls) == needs_grad
 
 
 def test_elementwise_broadcast_rules():
@@ -262,6 +271,15 @@ def test_upsample2x_and_concat_and_embedding():
         embedding(table, np.array([3]))
 
 
+def test_upsample2x_backward_matches_block_sum():
+    rng = RngStream(22)
+    x = Tensor(rng.normal((32, 32, 8, 8)), requires_grad=True)
+    g = rng.normal((32, 32, 16, 16))
+    backward((upsample2x(x) * Tensor(g)).sum())
+    ref = g.reshape(32, 32, 8, 2, 8, 2).sum(axis=(3, 5))
+    assert _rel_err(x.grad, ref) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -290,6 +308,25 @@ def test_backward_accumulates_shared_inputs():
     y = x * 2.0 + x * x  # dy/dx = 2 + 2x = 8
     backward(y.sum())
     assert x.grad[0] == pytest.approx(8.0)
+
+
+def test_first_gradients_are_writable_and_unshared():
+    # add hands one g to both operands, and sum(axis) hands back a read-only
+    # broadcast view; each tensor's first gradient must be its own copy
+    rng = RngStream(23)
+    a, b, x = (Tensor(rng.normal((3, 4)), requires_grad=True) for _ in range(3))
+    r, r2 = Tensor(rng.normal((4,))), Tensor(rng.normal((3, 4)))
+
+    def terms():
+        s = x + x
+        return s, (a * a).sum() + ((a + b).sum(axis=0) * r).sum() + (x * x).sum() + (s * r2).sum()
+
+    s, total = terms()
+    backward(total)
+    assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(x.grad, s.grad)
+    for t in (a, b, x):
+        assert t.grad.flags.writeable
+        assert np.allclose(t.grad, central_difference(lambda: terms()[1], t), rtol=1e-6, atol=1e-8)
 
 
 def test_no_grad_suspends_tape():
