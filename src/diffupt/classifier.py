@@ -10,13 +10,13 @@ head is retrained under a balanced sampler.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as M
 from . import numcore as nc
-from .data import LabeledDataset, SamplerSpec, class_weights, make_sampler
+from .data import IndexSampler, LabeledDataset, SamplerSpec, class_weights
 from .diffusion import DivergenceError
 from .numcore import (
     Conv2d,
@@ -116,7 +116,6 @@ class TrainRegime:
     iterations: int = 1500
     batch: int = 32
     eval_every: int = 100
-    init: str = "random"  # random | pretrained
 
     def __post_init__(self):
         if self.loss not in ("bce", "weighted_bce"):
@@ -133,12 +132,6 @@ class HistoryRow:
     val_spec: float
     val_hm: float
     val_auc: float
-
-    def csv(self) -> str:
-        return (
-            f"{self.iteration},{self.loss:.6f},{self.val_sens:.4f},"
-            f"{self.val_spec:.4f},{self.val_hm:.4f},{self.val_auc:.4f}"
-        )
 
 
 def _resolved_weights(regime: TrainRegime, ds: LabeledDataset) -> tuple[float, float] | None:
@@ -159,7 +152,7 @@ def train_classifier(
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
     weights = _resolved_weights(regime, ds)
-    sampler = make_sampler(regime.sampler, ds, rng.split("sampler"))
+    sampler = IndexSampler(regime.sampler, ds, rng.split("sampler"))
     params = model.parameters() if params is None else params
 
     history: list[HistoryRow] = []

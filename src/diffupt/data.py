@@ -9,7 +9,7 @@ intensity profile can measure back out of the pixels.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +77,24 @@ class LabeledDataset:
 
 
 def concat_datasets(parts: list[LabeledDataset]) -> LabeledDataset:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return empty_dataset(1, 1, 1)
+    """Rows of every part in order; parts that are all empty keep their image shape."""
+    parts = [p for p in parts if len(p)] or parts[:1]
     keep_sub = all(p.subgroup is not None for p in parts)
     return LabeledDataset(
         images=np.concatenate([p.images for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
         provenance=np.concatenate([p.provenance for p in parts]),
         subgroup=np.concatenate([p.subgroup for p in parts]) if keep_sub else None,
+    )
+
+
+def class_dataset(per_class: list[np.ndarray], provenance: int) -> LabeledDataset:
+    """One dataset from per-class image arrays: class 0's images first, each
+    labelled by its index in ``per_class``, all with the same provenance."""
+    return LabeledDataset(
+        images=np.concatenate(per_class),
+        labels=np.concatenate([np.full(len(im), c, dtype=np.int8) for c, im in enumerate(per_class)]),
+        provenance=np.full(sum(len(im) for im in per_class), provenance, dtype=np.int8),
     )
 
 
@@ -313,7 +322,7 @@ def class_weights(ds: LabeledDataset) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerSpec:
     kind: str = "uniform"  # uniform | class_weighted
     class_weights: tuple[float, float] | None = None
@@ -347,10 +356,6 @@ class IndexSampler:
             return self._rng.integers((n,), 0, self._n)
         u = self._rng.uniform((n,))
         return np.searchsorted(self._cdf, u).clip(0, self._n - 1).astype(np.int64)
-
-
-def make_sampler(spec: SamplerSpec, ds: LabeledDataset, rng: RngStream) -> IndexSampler:
-    return IndexSampler(spec, ds, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ sampling combines the two predictions as (1+w)*cond - w*uncond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,8 +448,6 @@ def sample(
     method: SampleMethod,
     sched: NoiseSchedule,
     rng: RngStream,
-    clamp: bool = True,
 ) -> np.ndarray:
-    """Class-conditional samples, clamped into [0,1] by default."""
-    x = sample_raw(model, n, y, guidance, method, sched, rng)
-    return np.clip(x, 0.0, 1.0) if clamp else x
+    """Class-conditional samples clamped into [0,1] (``sample_raw`` is the unclamped path)."""
+    return np.clip(sample_raw(model, n, y, guidance, method, sched, rng), 0.0, 1.0)

@@ -91,9 +91,6 @@ class AeTrainConfig:
 class ReconstructionReport:
     rows: list[tuple[str, float, float]]  # (split, mse, ssim)
 
-    def row(self, split: str) -> tuple[str, float, float]:
-        return next(r for r in self.rows if r[0] == split)
-
 
 def reconstruction_report(ae: Autoencoder, images: np.ndarray, split: str) -> tuple[str, float, float]:
     recon = decode(ae, encode(ae, images))

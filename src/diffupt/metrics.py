@@ -50,7 +50,6 @@ class EvalReport:
     harmonic_mean: float
     auc: float
     confusion: list[ConfusionCounts] = field(default_factory=list)
-    generation: dict | None = None
 
 
 def confusion(probs, labels, threshold: float = 0.5, subgroup: str | None = None) -> ConfusionCounts:

@@ -64,14 +64,6 @@ class Module:
             if name in state:
                 buf[...] = state[name]
 
-    def copy_weights_from(self, other: "Module") -> None:
-        mine = dict(self.named_parameters())
-        for name, p in other.named_parameters():
-            mine[name].tensor.data[...] = p.tensor.data
-        mine_buf = dict(self.named_buffers())
-        for name, b in other.named_buffers():
-            mine_buf[name][...] = b
-
     def weight_bytes(self) -> bytes:
         """Canonical byte image of all parameters and buffers (for bitwise comparisons)."""
         return b"".join(arr.astype("<f8").tobytes() for _, arr in self.state_arrays())

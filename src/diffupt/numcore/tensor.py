@@ -208,36 +208,27 @@ def _broadcast_mode(a: Tensor, b) -> str:
     raise ShapeError(f"incompatible shapes for elementwise op: {a.shape} vs {b.shape}")
 
 
+# kind -> (value, gradient wrt a, gradient wrt b), each from (a, b) or (g, a, b)
+_ELEMENTWISE = {
+    "add": (lambda a, b: a + b, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g),
+    "rsub": (lambda a, b: b - a, lambda g, a, b: -g, lambda g, a, b: g),
+    "mul": (lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a),
+}
+
+
 def _elementwise(a: Tensor, b, kind: str) -> Tensor:
     mode = _broadcast_mode(a, b)
-    bval = b.data if isinstance(b, Tensor) else float(b)
-    if kind == "add":
-        value = a.data + bval
-    elif kind == "sub":
-        value = a.data - bval
-    elif kind == "rsub":
-        value = bval - a.data
-    elif kind == "mul":
-        value = a.data * bval
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    forward, grad_a, grad_b = _ELEMENTWISE[kind]
+    if mode == "scalar":
+        bval = float(b)
+        return _make(forward(a.data, bval), kind, (a,), lambda g: (grad_a(g, a.data, bval),))
 
     def back(g):
-        if kind == "add":
-            ga, gb = g, g
-        elif kind == "sub":
-            ga, gb = g, -g
-        elif kind == "rsub":
-            ga, gb = -g, g
-        else:  # mul
-            ga = g * bval
-            gb = g * a.data if mode != "scalar" else None
-        if mode == "batch" and gb is not None:
-            gb = gb.sum(axis=0)
-        return (ga, gb) if mode != "scalar" else (ga, None)
+        gb = grad_b(g, a.data, b.data)
+        return grad_a(g, a.data, b.data), (gb.sum(axis=0) if mode == "batch" else gb)
 
-    inputs = (a, b) if mode != "scalar" else (a,)
-    return _make(value, kind, inputs, back)
+    return _make(forward(a.data, b.data), kind, (a, b), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -307,18 +298,17 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def _reduce(x: Tensor, axis: int | None, kind: str) -> Tensor:
-    if axis is None:
-        value = x.data.sum() if kind == "sum" else x.data.mean()
-        count = x.size
+    if kind == "sum":
+        value, scale = x.data.sum(axis=axis), 1.0
     else:
-        value = x.data.sum(axis=axis) if kind == "sum" else x.data.mean(axis=axis)
-        count = x.shape[axis]
-    scale = 1.0 if kind == "sum" else 1.0 / count
+        value, scale = x.data.mean(axis=axis), 1.0 / (x.size if axis is None else x.shape[axis])
 
-    def back(g):
-        if axis is None:
+    if axis is None:
+        def back(g):
             return (np.full_like(x.data, float(g.reshape(-1)[0]) * scale),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape) * scale,)
+    else:
+        def back(g):
+            return (np.broadcast_to(np.expand_dims(g, axis), x.shape) * scale,)
 
     return _make(np.asarray(value), kind, (x,), back)
 

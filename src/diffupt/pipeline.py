@@ -11,20 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import metrics as M
 from .classifier import ClassifierModel, TrainRegime, embedding_statistics, multi_stage_retrain, train_classifier
-from .data import (
-    REAL,
-    SYNTHETIC,
-    LabeledDataset,
-    SamplerSpec,
-    class_weights,
-    concat_datasets,
-    smote_oversample,
-)
+from .data import SYNTHETIC, LabeledDataset, SamplerSpec, class_dataset, concat_datasets, smote_oversample
 from .diffusion import (
     DenoiserModel,
     DiffusionTrainConfig,
@@ -39,18 +32,6 @@ from .diffusion import (
 from .latentae import AeTrainConfig, Autoencoder, encode, latent_diffusion_sample, train_autoencoder
 from .numcore import RngStream
 
-KNOWN_METHODS = (
-    "normal",
-    "weighted_ce",
-    "weighted_sampler",
-    "weighted_ce+sampler",
-    "multi_stage+sampler",
-    "smote_augment",
-    "gen_augment",
-    "diffupt",
-)
-
-
 class GenerationShortfallError(RuntimeError):
     """Attempt budget exhausted before the target counts were reached."""
 
@@ -63,7 +44,6 @@ class GenerationShortfallError(RuntimeError):
 @dataclass
 class GenerationPlan:
     target_counts: tuple[int, int] = (1200, 1200)  # (n_negative, n_positive)
-    distribution_label: str = "50-50"
     guidance: GuidanceSpec = field(default_factory=GuidanceSpec)
     method: SampleMethod = field(default_factory=SampleMethod)
     filter: str = "baseline"  # none | baseline
@@ -95,31 +75,14 @@ class GenerationStats:
         return (self.attempted[0] - self.kept[0], self.attempted[1] - self.kept[1])
 
 
-@dataclass
-class FilterStats:
-    kept: int
-    rejected: int
-
-    @property
-    def rejection_rate(self) -> float:
-        total = self.kept + self.rejected
-        return self.rejected / total if total else 0.0
-
-
-def filter_samples(
-    samples: np.ndarray,
-    target_class: int,
-    baseline: ClassifierModel,
-    threshold: float,
-) -> tuple[np.ndarray, FilterStats]:
+def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierModel, threshold: float) -> np.ndarray:
     """Keep samples the baseline assigns to the target class at >= threshold."""
     samples = np.asarray(samples)
     if samples.shape[0] == 0:
-        return samples, FilterStats(0, 0)
+        return samples
     p = baseline.predict_proba(samples)
     p_target = p if target_class == 1 else 1.0 - p
-    keep = p_target >= threshold
-    return samples[keep], FilterStats(int(keep.sum()), int((~keep).sum()))
+    return samples[p_target >= threshold]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +110,10 @@ class GenerativeStack:
     denoiser: DenoiserModel
     sched: NoiseSchedule
 
+    @property
+    def image_shape(self) -> tuple[int, ...]:
+        return tuple(self.denoiser.data_shape if self.ae is None else self.ae.image_shape)
+
     def sample_class(self, n: int, y: int, guidance: GuidanceSpec, method: SampleMethod, rng: RngStream) -> np.ndarray:
         if self.ae is None:
             return sample(self.denoiser, n, y, guidance, method, self.sched, rng)
@@ -173,8 +140,8 @@ def generate_balanced_dataset(
     """Generate per class until the plan's counts are met or budget runs out."""
     if plan.filter == "baseline" and baseline is None:
         raise ValueError("plan filters on the baseline classifier but none was given")
-    stats = GenerationStats(requested=tuple(plan.target_counts))
-    kept_images: list[list[np.ndarray]] = [[], []]
+    empty = np.zeros((0,) + stack.image_shape)
+    kept_images = [[empty], [empty]]
     kept_counts = [0, 0]
     attempted = [0, 0]
     t0 = time.perf_counter()
@@ -189,40 +156,19 @@ def generate_balanced_dataset(
             attempted[cls] += n
             pair_calls += (plan.method.steps if plan.method.kind == "ddim" else stack.sched.T)
             if plan.filter == "baseline":
-                batch, _ = filter_samples(batch, cls, baseline, plan.filter_threshold)
+                batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
             take = min(len(batch), target - kept_counts[cls])
-            if take:
-                kept_images[cls].append(batch[:take])
-                kept_counts[cls] += take
-    stats.attempted = tuple(attempted)
-    stats.kept = tuple(kept_counts)
-    stats.sampling_seconds = time.perf_counter() - t0
-    stats.model_pair_calls = pair_calls
-
-    images = [np.concatenate(kept_images[c]) if kept_images[c] else None for c in (0, 1)]
-    shape = None
-    for im in images:
-        if im is not None:
-            shape = im.shape[1:]
-    if shape is None:
-        if stack.ae is not None:
-            shape = tuple(stack.ae.image_shape)
-        else:
-            shape = tuple(stack.denoiser.data_shape)
-    parts = []
-    for c in (0, 1):
-        if images[c] is None:
-            continue
-        parts.append(
-            LabeledDataset(
-                images=images[c],
-                labels=np.full(len(images[c]), c, dtype=np.int8),
-                provenance=np.full(len(images[c]), SYNTHETIC, dtype=np.int8),
-            )
-        )
-    ds = concat_datasets(parts) if parts else LabeledDataset(
-        images=np.zeros((0,) + shape), labels=np.zeros(0, dtype=np.int8), provenance=np.zeros(0, dtype=np.int8)
+            kept_images[cls].append(batch[:take])
+            kept_counts[cls] += take
+    stats = GenerationStats(
+        requested=tuple(plan.target_counts),
+        attempted=tuple(attempted),
+        kept=tuple(kept_counts),
+        sampling_seconds=time.perf_counter() - t0,
+        model_pair_calls=pair_calls,
     )
+
+    ds = class_dataset([np.concatenate(kept) for kept in kept_images], SYNTHETIC)
     if kept_counts[0] < plan.target_counts[0] or kept_counts[1] < plan.target_counts[1]:
         raise GenerationShortfallError(
             f"generation shortfall: kept {tuple(kept_counts)} of requested {plan.target_counts} "
@@ -286,12 +232,21 @@ class ExperimentContext:
     diffupt_cfg: DiffuPTConfig = field(default_factory=DiffuPTConfig)
     stack: GenerativeStack | None = None
     baseline: ClassifierModel | None = None
+    _trained_on: Splits | None = field(default=None, init=False, repr=False)
 
     def new_classifier(self, splits: Splits, rng: RngStream) -> ClassifierModel:
         shape = splits.train.images.shape[1:]
         return ClassifierModel(shape, rng, conv_channels=self.clf_channels, feature_dim=self.clf_feature_dim)
 
+    def _check_splits(self, splits: Splits) -> None:
+        """The cached baseline and stack belong to the first splits they were asked for."""
+        if self._trained_on is None:
+            self._trained_on = splits
+        elif splits is not self._trained_on:
+            raise ValueError("this context's baseline and stack belong to other splits; use a new ExperimentContext")
+
     def ensure_baseline(self, splits: Splits, rng: RngStream) -> ClassifierModel:
+        self._check_splits(splits)
         if self.baseline is None:
             model = self.new_classifier(splits, rng.split("baseline-init"))
             train_classifier(model, splits.train, self.regime, rng.split("baseline-train"), val_ds=splits.val)
@@ -299,6 +254,7 @@ class ExperimentContext:
         return self.baseline
 
     def ensure_stack(self, splits: Splits, rng: RngStream) -> GenerativeStack:
+        self._check_splits(splits)
         if self.stack is None:
             self.stack = train_generative_stack(splits.train, self.stack_cfg, rng.split("stack"))
         return self.stack
@@ -345,17 +301,22 @@ def diffupt_run(
 # ---------------------------------------------------------------------------
 
 
-def _parse_method(label: str) -> tuple[str, int | None]:
-    if label.startswith("gen_augment(") and label.endswith(")"):
-        return "gen_augment", int(label[len("gen_augment(") : -1])
-    if label in KNOWN_METHODS and label != "gen_augment":
-        return label, None
-    raise ValueError(f"unknown method label {label!r}")
+# A runner trains one method's model(s) and returns its (val, test) reports;
+# ``count`` is N of the label gen_augment(N) and None for every other method.
+Runner = Callable[[Splits, ExperimentContext, RngStream, int | None], tuple[M.EvalReport, M.EvalReport]]
 
 
-def _augmented_with_synthetic_minority(
-    splits: Splits, ctx: ExperimentContext, count: int, rng: RngStream
-) -> LabeledDataset:
+def _smote_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None) -> LabeledDataset:
+    """The real set plus SMOTE minority samples up to the majority count."""
+    train = splits.train
+    n_neg, n_pos = train.class_counts
+    minority = train.images[train.labels == 1]
+    new = smote_oversample(minority, k=min(5, len(minority) - 1), n_new=max(0, n_neg - n_pos), rng=rng.split("smote"))
+    return concat_datasets([train, class_dataset([new[:0], new], SYNTHETIC)])
+
+
+def _generated_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None) -> LabeledDataset:
+    """The real set plus ``count`` generated, baseline-filtered minority samples."""
     if count == 0:
         return splits.train
     stack = ctx.ensure_stack(splits, rng)
@@ -365,57 +326,70 @@ def _augmented_with_synthetic_minority(
     return concat_datasets([splits.train, synth])
 
 
+def _one_classifier(train_set: Callable[..., LabeledDataset] | None = None, **regime_changes) -> Runner:
+    """Train one fresh classifier on ``train_set`` (default: the real training
+    set) under the context's regime with ``regime_changes`` applied."""
+
+    def run(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
+        train = splits.train if train_set is None else train_set(splits, ctx, rng, count)
+        model = ctx.new_classifier(splits, rng.split("init"))
+        train_classifier(model, train, replace(ctx.regime, **regime_changes), rng.split("train"), val_ds=splits.val)
+        return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+    return run
+
+
+def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
+    """Decoupled retraining (Kang et al. 2020): train, then retrain only the head class-balanced."""
+    regime = ctx.regime
+    model = ctx.new_classifier(splits, rng.split("init"))
+    train_classifier(model, splits.train, regime, rng.split("stage1"), val_ds=splits.val)
+    multi_stage_retrain(model, splits.train, rng.split("stage2"), val_ds=splits.val,
+                        iterations=max(1, regime.iterations // 2), lr=regime.lr, batch=regime.batch)
+    return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+
+def _diffupt(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
+    res = diffupt_run(splits, ctx.diffupt_cfg, rng, ctx=ctx)
+    return res.val, res.test
+
+
+# class_weights=None weighs the loss by the inverse class frequency of the training set
+_WEIGHTED_CE = {"loss": "weighted_bce", "class_weights": None}
+_BALANCED = SamplerSpec("class_weighted")
+
+METHODS: dict[str, Runner] = {
+    "normal": _one_classifier(),
+    "weighted_ce": _one_classifier(**_WEIGHTED_CE),
+    "weighted_sampler": _one_classifier(sampler=_BALANCED),
+    "weighted_ce+sampler": _one_classifier(**_WEIGHTED_CE, sampler=_BALANCED),
+    "multi_stage+sampler": _multi_stage,
+    "smote_augment": _one_classifier(_smote_minority, sampler=SamplerSpec("uniform")),
+    "gen_augment": _one_classifier(_generated_minority, sampler=_BALANCED),  # labelled gen_augment(N)
+    "diffupt": _diffupt,
+}
+
+
+def _method(label: str) -> tuple[Runner, int | None]:
+    """The runner for ``label`` and gen_augment's count; ValueError for an unknown label."""
+    if label.startswith("gen_augment(") and label.endswith(")"):
+        return METHODS["gen_augment"], int(label[len("gen_augment(") : -1])
+    if label == "gen_augment" or label not in METHODS:
+        raise ValueError(f"unknown method label {label!r}")
+    return METHODS[label], None
+
+
 def run_method(label: str, splits: Splits, ctx: ExperimentContext, rng: RngStream) -> MethodResult:
     """Train and evaluate one imbalance-mitigation method."""
-    kind, gen_n = _parse_method(label)
-    regime = ctx.regime
-
-    if kind == "diffupt":
-        res = diffupt_run(splits, ctx.diffupt_cfg, rng, ctx=ctx)
-        return MethodResult(label, res.val, res.test)
-
-    if kind == "multi_stage+sampler":
-        model = ctx.new_classifier(splits, rng.split("init"))
-        train_classifier(model, splits.train, regime, rng.split("stage1"), val_ds=splits.val)
-        multi_stage_retrain(model, splits.train, rng.split("stage2"), val_ds=splits.val,
-                            iterations=max(1, regime.iterations // 2), lr=regime.lr, batch=regime.batch)
-        return MethodResult(label, _evaluate(model, splits.val), _evaluate(model, splits.test))
-
-    train_ds = splits.train
-    if kind == "smote_augment":
-        n_neg, n_pos = train_ds.class_counts
-        n_new = max(0, n_neg - n_pos)
-        minority = train_ds.images[train_ds.labels == 1]
-        new_imgs = smote_oversample(minority, k=min(5, len(minority) - 1), n_new=n_new, rng=rng.split("smote"))
-        synth = LabeledDataset(
-            images=new_imgs,
-            labels=np.ones(len(new_imgs), dtype=np.int8),
-            provenance=np.full(len(new_imgs), SYNTHETIC, dtype=np.int8),
-        )
-        train_ds = concat_datasets([train_ds, synth])
-        regime = replace(regime, sampler=SamplerSpec("uniform"))
-    elif kind == "gen_augment":
-        train_ds = _augmented_with_synthetic_minority(splits, ctx, gen_n, rng)
-        regime = replace(regime, sampler=SamplerSpec("class_weighted"))
-    elif kind == "weighted_ce":
-        regime = replace(regime, loss="weighted_bce", class_weights=class_weights(train_ds))
-    elif kind == "weighted_sampler":
-        regime = replace(regime, sampler=SamplerSpec("class_weighted"))
-    elif kind == "weighted_ce+sampler":
-        regime = replace(
-            regime, loss="weighted_bce", class_weights=class_weights(train_ds), sampler=SamplerSpec("class_weighted")
-        )
-
-    model = ctx.new_classifier(splits, rng.split("init"))
-    train_classifier(model, train_ds, regime, rng.split("train"), val_ds=splits.val)
-    return MethodResult(label, _evaluate(model, splits.val), _evaluate(model, splits.test))
+    run, count = _method(label)
+    return MethodResult(label, *run(splits, ctx, rng, count))
 
 
 def run_comparison(splits: Splits, methods: list[str], rng: RngStream, ctx: ExperimentContext | None = None) -> list[MethodResult]:
     """One row per method, trained on shared splits with per-method streams."""
     ctx = ctx or ExperimentContext()
     for label in methods:
-        _parse_method(label)  # fail fast on unknown labels
+        _method(label)  # fail fast on unknown labels
     return [run_method(label, splits, ctx, rng.split(label)) for label in methods]
 
 
@@ -462,18 +436,16 @@ def distribution_ablation(
         if pos_pct + neg_pct != 100:
             raise ValueError(f"distribution must sum to 100, got {pos_pct}-{neg_pct}")
         n_pos = round(total * pos_pct / 100)
-        plan = replace(ctx.diffupt_cfg.generation, target_counts=(total - n_pos, n_pos),
-                       distribution_label=f"{pos_pct}-{neg_pct}")
+        plan = replace(ctx.diffupt_cfg.generation, target_counts=(total - n_pos, n_pos))
         drng = rng.split(f"dist-{pos_pct}-{neg_pct}")
         synth, _ = generate_balanced_dataset(stack, plan, baseline, drng.split("gen"))
         model = ctx.new_classifier(splits, drng.split("init"))
         train_classifier(model, synth, ctx.diffupt_cfg.pretrain, drng.split("pretrain"), val_ds=splits.val)
-        n_neg_gen, n_pos_gen = synth.class_counts
         rows.append(
             DistributionRow(
                 label=f"{pos_pct}-{neg_pct}",
-                requested=(total - n_pos, n_pos),
-                generated=(n_neg_gen, n_pos_gen),
+                requested=plan.target_counts,
+                generated=synth.class_counts,
                 report=_evaluate(model, splits.val),
                 embedding=embedding_statistics(model, splits.val),
             )
@@ -506,25 +478,11 @@ def filtering_ablation(
         budget = int(np.ceil(plan.max_attempts_factor * plan.target_counts[cls]))
         pools.append(stack.sample_class(budget, cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}")))
 
-    def build(filtered: bool) -> LabeledDataset:
-        parts = []
-        for cls in (0, 1):
-            pool = pools[cls]
-            if filtered:
-                pool, _ = filter_samples(pool, cls, baseline, plan.filter_threshold)
-            take = pool[: plan.target_counts[cls]]
-            parts.append(
-                LabeledDataset(
-                    images=take,
-                    labels=np.full(len(take), cls, dtype=np.int8),
-                    provenance=np.full(len(take), SYNTHETIC, dtype=np.int8),
-                )
-            )
-        return concat_datasets(parts)
+    filtered = [filter_samples(pool, cls, baseline, plan.filter_threshold) for cls, pool in enumerate(pools)]
 
     rows = []
-    for label, filtered in (("all_samples", False), ("filtered_samples", True)):
-        synth = build(filtered)
+    for label, kept in (("all_samples", pools), ("filtered_samples", filtered)):
+        synth = class_dataset([k[:n] for k, n in zip(kept, plan.target_counts)], SYNTHETIC)
         res = diffupt_run(splits, ctx.diffupt_cfg, rng.split("shared-downstream"), ctx=ctx, synthetic=synth)
         rows.append(FilteringRow(label=label, synthetic=synth, val=res.val, test=res.test))
     return rows

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffupt.data import (
+    IndexSampler,
     LabeledDataset,
     MissingClassError,
     SamplerSpec,
@@ -15,7 +16,6 @@ from diffupt.data import (
     concat_datasets,
     generate_synth_fundus,
     load_dataset,
-    make_sampler,
     measure_cup_disc_ratio,
     save_dataset,
     smote_oversample,
@@ -185,7 +185,7 @@ def test_class_weights_missing_class_errors():
 
 def test_uniform_sampler_share_matches_dataset():
     ds = generate_synth_fundus(SynthFundusConfig(seed=12, image_size=8), 915, 85)
-    sampler = make_sampler(SamplerSpec("uniform"), ds, RngStream(0))
+    sampler = IndexSampler(SamplerSpec("uniform"), ds, RngStream(0))
     idx = sampler.draw(10_000)
     share = ds.labels[idx].mean()
     assert share == pytest.approx(0.085, abs=0.01)
@@ -193,7 +193,7 @@ def test_uniform_sampler_share_matches_dataset():
 
 def test_weighted_sampler_equalizes_classes():
     ds = generate_synth_fundus(SynthFundusConfig(seed=13, image_size=8), 915, 85)
-    sampler = make_sampler(SamplerSpec("class_weighted"), ds, RngStream(1))
+    sampler = IndexSampler(SamplerSpec("class_weighted"), ds, RngStream(1))
     idx = sampler.draw(10_000)
     share = ds.labels[idx].mean()
     assert share == pytest.approx(0.5, abs=0.02)
@@ -201,14 +201,14 @@ def test_weighted_sampler_equalizes_classes():
 
 def test_sampler_single_class_valid_indices():
     ds = generate_synth_fundus(SynthFundusConfig(seed=14, image_size=8), 25, 0)
-    sampler = make_sampler(SamplerSpec("uniform"), ds, RngStream(2))
+    sampler = IndexSampler(SamplerSpec("uniform"), ds, RngStream(2))
     idx = sampler.draw(500)
     assert idx.min() >= 0 and idx.max() < 25
 
 
 def test_weighted_sampler_three_sigma_band():
     ds = generate_synth_fundus(SynthFundusConfig(seed=15, image_size=8), 900, 100)
-    sampler = make_sampler(SamplerSpec("class_weighted"), ds, RngStream(3))
+    sampler = IndexSampler(SamplerSpec("class_weighted"), ds, RngStream(3))
     n = 10_000
     share = ds.labels[sampler.draw(n)].mean()
     sigma = np.sqrt(0.25 / n)
@@ -320,3 +320,10 @@ def test_concat_datasets_counts():
     b = generate_synth_fundus(SynthFundusConfig(seed=18, image_size=8), 3, 3)
     both = concat_datasets([a, b])
     assert both.class_counts == (8, 5)
+
+
+def test_concat_datasets_of_empty_parts_keeps_image_shape():
+    empty = generate_synth_fundus(SynthFundusConfig(seed=19, image_size=8), 0, 0)
+    out = concat_datasets([empty, empty.subset([])])
+    assert len(out) == 0
+    assert out.images.shape == (0, 1, 8, 8)

@@ -124,3 +124,16 @@ def test_unknown_method_raises_before_any_training(monkeypatch):
         with pytest.raises(ValueError):
             P.run_comparison(_tiny_splits(), ["normal", bad], RngStream(0), ctx=_tiny_context())
     assert calls == []
+
+
+def test_context_cache_refuses_other_splits():
+    ctx = _tiny_context()
+    splits, rng = _tiny_splits(0), RngStream(0)
+    baseline = ctx.ensure_baseline(splits, rng)
+    stack = ctx.ensure_stack(splits, rng)
+    assert ctx.ensure_baseline(splits, rng) is baseline and ctx.ensure_stack(splits, rng) is stack
+    other = _tiny_splits(1)
+    with pytest.raises(ValueError, match="splits"):
+        ctx.ensure_baseline(other, rng)
+    with pytest.raises(ValueError, match="splits"):
+        ctx.ensure_stack(other, rng)
