@@ -203,7 +203,10 @@ def multi_stage_retrain(
     lr: float = 1e-3,
     batch: int = 32,
 ) -> list[HistoryRow]:
-    """Freeze features, re-initialize the head, retrain it class-balanced."""
+    """Freeze features, re-initialize the head, retrain it class-balanced.
+
+    Frozen means ``requires_grad=False`` for the duration: the backward pass
+    stops at the head, and no gradient is left on the feature parameters."""
     if not model.trained:
         warnings.warn("multi_stage_retrain called on an untrained model; proceeding")
     model.reinit_head(rng.split("head-reinit"))
@@ -214,9 +217,14 @@ def multi_stage_retrain(
         iterations=iterations,
         batch=batch,
     )
-    return train_classifier(
-        model, ds, regime, rng.split("stage2"), val_ds=val_ds, params=[p for _, p in model.head.named_parameters()]
-    )
+    features = model.feature_parameters()
+    for p in features:
+        p.tensor.requires_grad = False
+    try:
+        return train_classifier(model, ds, regime, rng.split("stage2"), val_ds=val_ds, params=model.head.parameters())
+    finally:
+        for p in features:
+            p.tensor.requires_grad = True
 
 
 def embedding_statistics(model: ClassifierModel, ds: LabeledDataset, reg: float = 1e-6) -> dict[str, float]:

@@ -50,13 +50,26 @@ class Autoencoder(Module):
         return self.out(upsample2x(h))
 
 
+# Rows per network pass in encode/decode. A pass's conv buffers grow with its
+# rows (dec2's output-side product alone is 115 KB a row, 52 MB for the 454-row
+# reconstruction report); 64 rows bound them to a few MB, and the conv GEMMs
+# are no slower at that width. Rows are independent, so the output is the same.
+AE_PASS_ROWS = 64
+
+
+def _in_passes(net, x: np.ndarray) -> np.ndarray:
+    """``net`` over ``x`` in passes of at most ``AE_PASS_ROWS`` rows, without gradients."""
+    starts = range(0, max(len(x), 1), AE_PASS_ROWS)  # one pass for no rows keeps the empty output's shape
+    with no_grad():
+        return np.concatenate([net(Tensor(x[i : i + AE_PASS_ROWS])).data for i in starts])
+
+
 def encode(ae: Autoencoder, images: np.ndarray, normalized: bool = False) -> np.ndarray:
     """Deterministic image -> latent map; optionally whitened per channel."""
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != ae.image_shape:
         raise ShapeError(f"expected images shaped (N,{ae.image_shape}), got {images.shape}")
-    with no_grad():
-        z = ae.encode_t(Tensor(images)).data
+    z = _in_passes(ae.encode_t, images)
     if normalized:
         z = (z - ae.latent_shift[:, None, None]) / ae.latent_scale[:, None, None]
     return z
@@ -69,8 +82,7 @@ def decode(ae: Autoencoder, z: np.ndarray, normalized: bool = False) -> np.ndarr
         raise ShapeError(f"expected latents shaped (N,{ae.latent_shape}), got {z.shape}")
     if normalized:
         z = z * ae.latent_scale[:, None, None] + ae.latent_shift[:, None, None]
-    with no_grad():
-        return ae.decode_t(Tensor(z)).data
+    return _in_passes(ae.decode_t, z)
 
 
 def calibrate_latents(ae: Autoencoder, images: np.ndarray) -> None:

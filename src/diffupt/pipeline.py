@@ -5,13 +5,38 @@ real set, generate a class-balanced synthetic set filtered by the
 already-trained baseline classifier, pretrain a fresh classifier on it
 (model-selected against the real validation set), then fine-tune on the
 real set at a tenth of the learning rate.
+
+Two pairs of stages do not depend on each other, and each pair runs side by
+side: the baseline classifier trains in a forked worker process while this
+process trains the autoencoder and UNet (``ExperimentContext.ensure_models``),
+and class 1 is sampled and filtered in the worker while this process does
+class 0 (``generate_balanced_dataset``, ``filtering_ablation``). Only results
+cross the process boundary: the baseline is built here with
+``new_classifier`` and the worker's trained parameters are copied into it,
+so every number, weight and hash is bitwise what running the two stages one
+after the other gives. The worker starts only when it can help and is safe:
+at least two CPUs in this process's affinity mask, ``os.fork`` available,
+one Python thread in the process, work on both sides, and the caller not
+itself a worker. Otherwise the same two functions run inline, one after the
+other. No option selects this. What callers see of the worker: the worker's
+memory is its own, so this process's ``ru_maxrss`` does not include it
+(``RUSAGE_CHILDREN`` does); and a tracer installed in this process by
+patching module globals records only this process's spans, not the
+baseline's training or class 1's sampling.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 import time
+import traceback
+from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -32,6 +57,109 @@ from .diffusion import (
 from .latentae import AeTrainConfig, Autoencoder, encode, latent_diffusion_sample, train_autoencoder
 from .numcore import RngStream
 
+A = TypeVar("A")
+B = TypeVar("B")
+
+# ---------------------------------------------------------------------------
+# the side-by-side worker
+# ---------------------------------------------------------------------------
+
+_IN_WORKER = False  # set only in a forked worker, which must not fork again
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's count)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker_can_start() -> bool:
+    # A second CPU is what the worker uses. A fork copies only the calling
+    # thread, so a lock another Python thread holds would stay locked in the
+    # child; with one Python thread there is none. (OpenBLAS stops its own
+    # thread pool before a fork and starts it again when next needed.)
+    return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1 and not _IN_WORKER
+
+
+def _run_worker(fn: Callable[[], object], fd: int) -> None:
+    """Body of the forked child: send ``fn()``'s pickled result or exception down ``fd``, then exit."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    try:
+        try:
+            payload = pickle.dumps((True, fn()))
+        except BaseException as e:  # sent to the parent, which raises it
+            try:
+                exc = pickle.dumps(e)
+            except Exception:
+                exc = None
+            payload = pickle.dumps((False, exc, traceback.format_exc()))
+        with open(fd, "wb") as f:
+            f.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)  # never return into the parent's stack
+
+
+def _worker_result(payload: bytes, status: int):
+    """The value a worker sent, or its exception raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise ChildProcessError(f"the worker process {how} before sending a result")
+    ok, *rest = pickle.loads(payload)
+    if ok:
+        return rest[0]
+    exc_bytes, tb = rest
+    try:
+        exc = pickle.loads(exc_bytes)
+    except Exception:
+        exc = None
+    if not isinstance(exc, BaseException):
+        raise RuntimeError(f"the worker raised an exception that could not be sent back:\n{tb}")
+    raise exc from RuntimeError(f"raised in the worker process:\n{tb}")
+
+
+@contextmanager
+def _forked(fn: Callable[[], B]) -> Iterator[Callable[[], B]]:
+    """Start ``fn()`` in a forked child and yield a function that waits for it
+    and returns its result or raises its exception (``ChildProcessError`` if it
+    died). Leaving the block kills and reaps a child not yet waited for."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(r)
+        _run_worker(fn, w)
+    os.close(w)
+    reaped = False
+
+    def result() -> B:
+        nonlocal reaped
+        with open(r, "rb", closefd=False) as f:
+            payload = f.read()  # until the child exits and its end closes
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        return _worker_result(payload, status)
+
+    try:
+        yield result
+    finally:
+        os.close(r)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _side_by_side(here: Callable[[], A] | None, there: Callable[[], B] | None) -> tuple[A | None, B | None]:
+    """``(here(), there())``, with ``there()`` in a forked worker while ``here()``
+    runs in this process when a worker can start; otherwise inline, ``here()``
+    first. A side given as None has no work and gives None."""
+    if here is None or there is None or not _worker_can_start():
+        return (None if here is None else here()), (None if there is None else there())
+    with _forked(there) as result:
+        mine = here()
+        return mine, result()
+
+
 class GenerationShortfallError(RuntimeError):
     """Attempt budget exhausted before the target counts were reached."""
 
@@ -39,6 +167,9 @@ class GenerationShortfallError(RuntimeError):
         super().__init__(msg)
         self.partial = partial
         self.stats = stats
+
+    def __reduce__(self):
+        return type(self), (str(self), self.partial, self.stats)
 
 
 @dataclass
@@ -131,6 +262,50 @@ def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngS
     return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched)
 
 
+@dataclass
+class _ClassDraw:
+    """What one class's generation produced."""
+
+    kept: np.ndarray  # samples that passed the plan's filter, at most the class target
+    unfiltered: np.ndarray  # the first samples as drawn, before the filter, at most the target
+    attempted: int
+    batches: int
+
+
+def _generate_class(
+    stack: GenerativeStack, plan: GenerationPlan, baseline: ClassifierModel | None, cls: int, rng: RngStream
+) -> _ClassDraw:
+    """Sample class ``cls`` in batches of ``plan.gen_batch`` until its target is
+    kept or its attempt budget is spent."""
+    target = plan.target_counts[cls]
+    budget = int(np.ceil(plan.max_attempts_factor * target))
+    empty = np.zeros((0,) + stack.image_shape)
+    kept, unfiltered = [empty], [empty]
+    n_kept = n_unfiltered = attempted = batches = 0
+    while n_kept < target and attempted < budget:
+        n = min(plan.gen_batch, budget - attempted)
+        batch = stack.sample_class(n, cls, plan.guidance, plan.method, rng)
+        attempted += n
+        batches += 1
+        unfiltered.append(batch[: target - n_unfiltered])
+        n_unfiltered += len(unfiltered[-1])
+        if plan.filter == "baseline":
+            batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
+        kept.append(batch[: target - n_kept])
+        n_kept += len(kept[-1])
+    return _ClassDraw(np.concatenate(kept), np.concatenate(unfiltered), attempted, batches)
+
+
+def _generate_classes(
+    stack: GenerativeStack, plan: GenerationPlan, baseline: ClassifierModel | None, rngs: list[RngStream]
+) -> list[_ClassDraw]:
+    """Both classes' draws: class 1 in the worker while class 0 runs here."""
+    draw = partial(_generate_class, stack, plan, baseline)
+    # a class with no target draws nothing, so it is no work for the worker
+    jobs = [partial(draw, cls, rngs[cls]) if plan.target_counts[cls] else None for cls in (0, 1)]
+    return [d or draw(cls, rngs[cls]) for cls, d in enumerate(_side_by_side(*jobs))]
+
+
 def generate_balanced_dataset(
     stack: GenerativeStack,
     plan: GenerationPlan,
@@ -140,39 +315,24 @@ def generate_balanced_dataset(
     """Generate per class until the plan's counts are met or budget runs out."""
     if plan.filter == "baseline" and baseline is None:
         raise ValueError("plan filters on the baseline classifier but none was given")
-    empty = np.zeros((0,) + stack.image_shape)
-    kept_images = [[empty], [empty]]
-    kept_counts = [0, 0]
-    attempted = [0, 0]
     t0 = time.perf_counter()
-    pair_calls = 0
-    for cls in (0, 1):
-        target = plan.target_counts[cls]
-        budget = int(np.ceil(plan.max_attempts_factor * target))
-        crng = rng.split(f"gen-class{cls}")
-        while kept_counts[cls] < target and attempted[cls] < budget:
-            n = min(plan.gen_batch, budget - attempted[cls])
-            batch = stack.sample_class(n, cls, plan.guidance, plan.method, crng)
-            attempted[cls] += n
-            pair_calls += (plan.method.steps if plan.method.kind == "ddim" else stack.sched.T)
-            if plan.filter == "baseline":
-                batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
-            take = min(len(batch), target - kept_counts[cls])
-            kept_images[cls].append(batch[:take])
-            kept_counts[cls] += take
+    draws = _generate_classes(stack, plan, baseline, [rng.split(f"gen-class{cls}") for cls in (0, 1)])
+    kept_counts = tuple(len(d.kept) for d in draws)
+    attempted = tuple(d.attempted for d in draws)
+    steps = plan.method.steps if plan.method.kind == "ddim" else stack.sched.T
     stats = GenerationStats(
         requested=tuple(plan.target_counts),
-        attempted=tuple(attempted),
-        kept=tuple(kept_counts),
+        attempted=attempted,
+        kept=kept_counts,
         sampling_seconds=time.perf_counter() - t0,
-        model_pair_calls=pair_calls,
+        model_pair_calls=steps * sum(d.batches for d in draws),
     )
 
-    ds = class_dataset([np.concatenate(kept) for kept in kept_images], SYNTHETIC)
+    ds = class_dataset([d.kept for d in draws], SYNTHETIC)
     if kept_counts[0] < plan.target_counts[0] or kept_counts[1] < plan.target_counts[1]:
         raise GenerationShortfallError(
-            f"generation shortfall: kept {tuple(kept_counts)} of requested {plan.target_counts} "
-            f"after {tuple(attempted)} attempts",
+            f"generation shortfall: kept {kept_counts} of requested {plan.target_counts} "
+            f"after {attempted} attempts",
             partial=ds,
             stats=stats,
         )
@@ -232,32 +392,62 @@ class ExperimentContext:
     diffupt_cfg: DiffuPTConfig = field(default_factory=DiffuPTConfig)
     stack: GenerativeStack | None = None
     baseline: ClassifierModel | None = None
-    _trained_on: Splits | None = field(default=None, init=False, repr=False)
+    _bound: tuple[Splits, RngStream] | None = field(default=None, init=False, repr=False)
 
     def new_classifier(self, splits: Splits, rng: RngStream) -> ClassifierModel:
         shape = splits.train.images.shape[1:]
         return ClassifierModel(shape, rng, conv_channels=self.clf_channels, feature_dim=self.clf_feature_dim)
 
-    def _check_splits(self, splits: Splits) -> None:
-        """The cached baseline and stack belong to the first splits they were asked for."""
-        if self._trained_on is None:
-            self._trained_on = splits
-        elif splits is not self._trained_on:
+    def bind(self, splits: Splits, rng: RngStream) -> None:
+        """Tie the shared baseline and stack to ``splits`` and to the stream they
+        train from. The first binding holds; other splits raise ``ValueError``."""
+        if self._bound is None:
+            self._bound = (splits, rng)
+        elif splits is not self._bound[0]:
             raise ValueError("this context's baseline and stack belong to other splits; use a new ExperimentContext")
 
-    def ensure_baseline(self, splits: Splits, rng: RngStream) -> ClassifierModel:
-        self._check_splits(splits)
-        if self.baseline is None:
+    def ensure_models(
+        self, splits: Splits, rng: RngStream, baseline: bool = True, stack: bool = True
+    ) -> tuple[ClassifierModel | None, GenerativeStack | None]:
+        """The shared baseline and generative stack (each only if asked for),
+        trained on first use from the bound stream; when both are missing the
+        baseline trains in the worker while the stack trains here."""
+        self.bind(splits, rng)
+        rng = self._bound[1]
+        train_stack = train_base = None
+        if stack and self.stack is None:
+            train_stack = partial(train_generative_stack, splits.train, self.stack_cfg, rng.split("stack"))
+        if baseline and self.baseline is None:
             model = self.new_classifier(splits, rng.split("baseline-init"))
-            train_classifier(model, splits.train, self.regime, rng.split("baseline-train"), val_ds=splits.val)
+            train_base = partial(_train_baseline, model, splits, self.regime, rng.split("baseline-train"))
+        new_stack, state = _side_by_side(train_stack, train_base)
+        if state is not None:
+            _load_trained(model, state)
             self.baseline = model
-        return self.baseline
+        if new_stack is not None:
+            self.stack = new_stack
+        return self.baseline, self.stack
+
+    def ensure_baseline(self, splits: Splits, rng: RngStream) -> ClassifierModel:
+        return self.ensure_models(splits, rng, stack=False)[0]
 
     def ensure_stack(self, splits: Splits, rng: RngStream) -> GenerativeStack:
-        self._check_splits(splits)
-        if self.stack is None:
-            self.stack = train_generative_stack(splits.train, self.stack_cfg, rng.split("stack"))
-        return self.stack
+        return self.ensure_models(splits, rng, baseline=False)[1]
+
+
+def _train_baseline(model: ClassifierModel, splits: Splits, regime: TrainRegime, rng: RngStream) -> tuple:
+    """Train ``model`` in place; returns the trained state, which is all a worker sends back."""
+    train_classifier(model, splits.train, regime, rng, val_ds=splits.val)
+    return model.trained, [(p.data, p.first_moment, p.second_moment, p.step_count) for p in model.parameters()]
+
+
+def _load_trained(model: ClassifierModel, state: tuple) -> None:
+    model.trained, params = state
+    for p, (data, first, second, steps) in zip(model.parameters(), params):
+        p.data[...] = data
+        p.first_moment[...] = first
+        p.second_moment[...] = second
+        p.step_count = steps
 
 
 def _evaluate(model: ClassifierModel, ds: LabeledDataset) -> M.EvalReport:
@@ -273,9 +463,8 @@ def diffupt_run(
 ) -> DiffuPTResult:
     """Full method: generate, pretrain on synthetic, fine-tune on real."""
     ctx = ctx or ExperimentContext(diffupt_cfg=cfg)
-    baseline = ctx.ensure_baseline(splits, rng)
+    baseline, stack = ctx.ensure_models(splits, rng, stack=synthetic is None)
     if synthetic is None:
-        stack = ctx.ensure_stack(splits, rng)
         synthetic, stats = generate_balanced_dataset(stack, cfg.generation, baseline, rng.split("generate"))
     else:
         stats = GenerationStats(requested=cfg.generation.target_counts, kept=synthetic.class_counts)
@@ -319,8 +508,7 @@ def _generated_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream, 
     """The real set plus ``count`` generated, baseline-filtered minority samples."""
     if count == 0:
         return splits.train
-    stack = ctx.ensure_stack(splits, rng)
-    baseline = ctx.ensure_baseline(splits, rng)
+    baseline, stack = ctx.ensure_models(splits, rng)
     plan = replace(ctx.diffupt_cfg.generation, target_counts=(0, count))
     synth, _ = generate_balanced_dataset(stack, plan, baseline, rng.split("augment-gen"))
     return concat_datasets([splits.train, synth])
@@ -390,6 +578,7 @@ def run_comparison(splits: Splits, methods: list[str], rng: RngStream, ctx: Expe
     ctx = ctx or ExperimentContext()
     for label in methods:
         _method(label)  # fail fast on unknown labels
+    ctx.bind(splits, rng)  # shared models come from the root stream, not from whichever row asks first
     return [run_method(label, splits, ctx, rng.split(label)) for label in methods]
 
 
@@ -403,6 +592,7 @@ def augmentation_sweep(
 
     Count 0 is exactly the weighted-sampler baseline row (same stream)."""
     ctx = ctx or ExperimentContext()
+    ctx.bind(splits, rng)
     out = []
     for count in counts:
         label = "weighted_sampler" if count == 0 else f"gen_augment({count})"
@@ -429,8 +619,7 @@ def distribution_ablation(
 ) -> list[DistributionRow]:
     """Pretrain-only models on synthetic sets of varying class composition."""
     ctx = ctx or ExperimentContext()
-    stack = ctx.ensure_stack(splits, rng)
-    baseline = ctx.ensure_baseline(splits, rng)
+    baseline, stack = ctx.ensure_models(splits, rng)
     rows = []
     for pos_pct, neg_pct in distributions:
         if pos_pct + neg_pct != 100:
@@ -468,21 +657,17 @@ def filtering_ablation(
 ) -> list[FilteringRow]:
     """Same pipeline twice from one candidate pool: all samples vs filtered."""
     ctx = ctx or ExperimentContext()
-    stack = ctx.ensure_stack(splits, rng)
-    baseline = ctx.ensure_baseline(splits, rng)
+    baseline, stack = ctx.ensure_models(splits, rng)
     plan = ctx.diffupt_cfg.generation
-    # one shared candidate pool per class, drawn once
+    # one shared candidate pool per class, drawn in one batch of its whole budget and filtered once
+    budget = max(int(np.ceil(plan.max_attempts_factor * n)) for n in plan.target_counts)
     gen_rng = rng.split("shared-pool")
-    pools = []
-    for cls in (0, 1):
-        budget = int(np.ceil(plan.max_attempts_factor * plan.target_counts[cls]))
-        pools.append(stack.sample_class(budget, cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}")))
-
-    filtered = [filter_samples(pool, cls, baseline, plan.filter_threshold) for cls, pool in enumerate(pools)]
+    pool_plan = replace(plan, filter="baseline", gen_batch=budget)
+    draws = _generate_classes(stack, pool_plan, baseline, [gen_rng.split(f"class{cls}") for cls in (0, 1)])
 
     rows = []
-    for label, kept in (("all_samples", pools), ("filtered_samples", filtered)):
-        synth = class_dataset([k[:n] for k, n in zip(kept, plan.target_counts)], SYNTHETIC)
+    for label, kept in (("all_samples", [d.unfiltered for d in draws]), ("filtered_samples", [d.kept for d in draws])):
+        synth = class_dataset(kept, SYNTHETIC)
         res = diffupt_run(splits, ctx.diffupt_cfg, rng.split("shared-downstream"), ctx=ctx, synthetic=synth)
         rows.append(FilteringRow(label=label, synthetic=synth, val=res.val, test=res.test))
     return rows

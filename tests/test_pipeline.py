@@ -1,12 +1,18 @@
 """Pipeline bookkeeping tests on tiny configurations."""
 
+import os
+import pickle
+import signal
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from diffupt import pipeline as P
 from diffupt.classifier import TrainRegime
 from diffupt.data import SynthFundusConfig, generate_synth_fundus, stratified_split
-from diffupt.diffusion import DiffusionTrainConfig, SampleMethod
+from diffupt.diffusion import DiffusionTrainConfig, DivergenceError, SampleMethod
 from diffupt.latentae import AeTrainConfig
 from diffupt.numcore import RngStream
 
@@ -137,3 +143,148 @@ def test_context_cache_refuses_other_splits():
         ctx.ensure_baseline(other, rng)
     with pytest.raises(ValueError, match="splits"):
         ctx.ensure_stack(other, rng)
+
+
+def test_shared_models_do_not_depend_on_row_order():
+    alone = P.run_comparison(_tiny_splits(3), ["diffupt"], RngStream(3), ctx=_tiny_context())
+    after = P.run_comparison(_tiny_splits(3), ["gen_augment(4)", "diffupt"], RngStream(3), ctx=_tiny_context())
+    assert repr(alone[0]) == repr(after[1])
+
+
+def test_shortfall_error_survives_pickling():
+    partial = generate_synth_fundus(SynthFundusConfig(seed=1), 3, 1)
+    stats = P.GenerationStats(requested=(5, 5), attempted=(10, 10), kept=(3, 1))
+    err = pickle.loads(pickle.dumps(P.GenerationShortfallError("short", partial, stats)))
+    assert type(err) is P.GenerationShortfallError and str(err) == "short"
+    assert err.stats == stats and np.array_equal(err.partial.images, partial.images)
+
+
+# ---------------------------------------------------------------------------
+# the side-by-side worker
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the pipeline's forks; ``cpus`` sets the CPU count the pipeline sees."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(P.os, "fork", fork)
+    monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
+    return calls
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(P, "_usable_cpus", lambda: n)
+
+
+def _run_outputs(experiment):
+    """Reports, generation stats without their wall time, and every classifier's weights."""
+    ctx = _tiny_context()
+    out = experiment(_tiny_splits(3), RngStream(3), ctx)
+    if isinstance(out, P.DiffuPTResult):
+        out = (out.pretrain_val, out.val, out.test, out.synthetic, replace(out.generation_stats, sampling_seconds=0.0))
+    return repr(out), [m.weight_bytes() for m in ctx.models]
+
+
+EXPERIMENTS = {
+    "diffupt_run": lambda s, r, c: P.diffupt_run(s, c.diffupt_cfg, r, ctx=c),
+    "filtering_ablation": lambda s, r, c: P.filtering_ablation(s, r, ctx=c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_worker_and_inline_runs_agree_bitwise(name, forks, monkeypatch):
+    experiment = EXPERIMENTS[name]
+    in_worker = _run_outputs(experiment)
+    assert len(forks) == 2  # the baseline beside the stack, class 1 beside class 0
+    _cpus(monkeypatch, 1)
+    assert _run_outputs(experiment) == in_worker
+    _cpus(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _run_outputs(experiment) == in_worker
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(forks) == 2  # neither one CPU nor a second thread started a worker
+
+
+def test_no_worker_for_a_side_without_work(forks):
+    P.run_comparison(_tiny_splits(3), ["gen_augment(4)"], RngStream(3), ctx=_tiny_context())
+    assert len(forks) == 1  # the models side by side; class 0 has no target
+
+
+def test_worker_cannot_start_another_worker(forks):
+    inner = P._side_by_side(lambda: 1, lambda: P._side_by_side(os.getpid, os.getpid))
+    assert len(forks) == 1
+    assert inner[1][0] == inner[1][1] != os.getpid()
+
+
+def _diverge():
+    raise DivergenceError(f"diverged in process {os.getpid()}")
+
+
+class _NeedsTwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def _raise_unloadable():
+    raise _NeedsTwoArgs("cannot", "unpickle")  # pickles, but its __init__ fails on unpickling
+
+
+def _raise_unpicklable():
+    raise ValueError(lambda: None)
+
+
+def test_worker_exception_arrives_with_its_type(forks):
+    with pytest.raises(DivergenceError, match="diverged in process") as info:
+        P._side_by_side(lambda: 1, _diverge)
+    assert f"process {os.getpid()}" not in str(info.value)
+    assert "_diverge" in str(info.value.__cause__)  # the worker's traceback
+
+
+@pytest.mark.parametrize("raiser", [_raise_unloadable, _raise_unpicklable])
+def test_worker_exception_that_cannot_cross_carries_the_traceback(forks, raiser):
+    with pytest.raises(RuntimeError, match="could not be sent back") as info:
+        P._side_by_side(lambda: 1, raiser)
+    assert "Traceback" in str(info.value) and raiser.__name__ in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "die, status",
+    [(lambda: os._exit(3), "exited with status 3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
+)
+def test_dead_worker_raises_child_process_error(forks, die, status):
+    with pytest.raises(ChildProcessError, match=status):
+        P._side_by_side(lambda: 1, die)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_is_left_after_success_or_a_failure_here(forks, monkeypatch):
+    ctx = _tiny_context()
+    ctx.ensure_models(_tiny_splits(3), RngStream(3))
+    assert len(forks) == 1 and ctx.baseline.trained and ctx.stack is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def broken_stack(*args):
+        raise DivergenceError("stack diverged")
+
+    monkeypatch.setattr(P, "train_generative_stack", broken_stack)
+    ctx = _tiny_context()
+    with pytest.raises(DivergenceError, match="stack diverged"):
+        ctx.ensure_models(_tiny_splits(3), RngStream(3))
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
