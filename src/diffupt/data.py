@@ -8,16 +8,11 @@ intensity profile can measure back out of the pixels.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .numcore import RngStream
-
-_DS_MAGIC = b"DPDS"
-_DS_VERSION = 1
 
 REAL, SYNTHETIC = 0, 1
 
@@ -392,50 +387,3 @@ def smote_oversample(minority: np.ndarray, k: int, n_new: int, rng: RngStream) -
     neighbours = knn[base, pick]
     lam = lam.reshape((n_new,) + (1,) * (x.ndim - 1))
     return x[base] + lam * (x[neighbours] - x[base])
-
-
-# ---------------------------------------------------------------------------
-# dataset files
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """Header (N,C,H,W) + label bytes + provenance bytes + raw image values."""
-    path = Path(path)
-    n, c, h, w = ds.images.shape
-    parts = [
-        _DS_MAGIC,
-        struct.pack("<HIIII", _DS_VERSION, n, c, h, w),
-        ds.labels.astype(np.int8).tobytes(),
-        ds.provenance.astype(np.int8).tobytes(),
-        ds.images.astype("<f8").tobytes(),
-    ]
-    path.write_bytes(b"".join(parts))
-    n_neg, n_pos = ds.class_counts
-    n_synth = int(np.sum(ds.provenance == SYNTHETIC))
-    manifest = (
-        f"samples: {n}\n"
-        f"image_shape: {c}x{h}x{w}\n"
-        f"class_0: {n_neg}\n"
-        f"class_1: {n_pos}\n"
-        f"minority_fraction: {ds.minority_fraction:.4f}\n"
-        f"real: {n - n_synth}\n"
-        f"synthetic: {n_synth}\n"
-    )
-    path.with_suffix(path.suffix + ".manifest.txt").write_text(manifest)
-
-
-def load_dataset(path) -> LabeledDataset:
-    buf = Path(path).read_bytes()
-    if buf[:4] != _DS_MAGIC:
-        raise ValueError(f"{path}: not a dataset file")
-    version, n, c, h, w = struct.unpack_from("<HIIII", buf, 4)
-    if version != _DS_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version}")
-    off = 4 + 18
-    labels = np.frombuffer(buf, dtype=np.int8, count=n, offset=off)
-    off += n
-    provenance = np.frombuffer(buf, dtype=np.int8, count=n, offset=off)
-    off += n
-    images = np.frombuffer(buf, dtype="<f8", count=n * c * h * w, offset=off).reshape(n, c, h, w)
-    return LabeledDataset(images=images.copy(), labels=labels.copy(), provenance=provenance.copy())

@@ -6,23 +6,29 @@ already-trained baseline classifier, pretrain a fresh classifier on it
 (model-selected against the real validation set), then fine-tune on the
 real set at a tenth of the learning rate.
 
-Two pairs of stages do not depend on each other, and each pair runs side by
-side: the baseline classifier trains in a forked worker process while this
-process trains the autoencoder and UNet (``ExperimentContext.ensure_models``),
-and class 1 is sampled and filtered in the worker while this process does
-class 0 (``generate_balanced_dataset``, ``filtering_ablation``). Only results
-cross the process boundary: the baseline is built here with
-``new_classifier`` and the worker's trained parameters are copied into it,
-so every number, weight and hash is bitwise what running the two stages one
-after the other gives. The worker starts only when it can help and is safe:
-at least two CPUs in this process's affinity mask, ``os.fork`` available,
-one Python thread in the process, work on both sides, and the caller not
-itself a worker. Otherwise the same two functions run inline, one after the
-other. No option selects this. What callers see of the worker: the worker's
-memory is its own, so this process's ``ru_maxrss`` does not include it
+Independent work runs in two lanes (``_lanes``): given a list of jobs, this
+process runs the first half in order while a forked worker runs the rest, and
+the results come back in job order. The worker has three uses. It trains the
+shared baseline classifier while this process trains the autoencoder and UNet
+(``ExperimentContext.ensure_models``). It samples and filters class 1 while
+this process does class 0 (``generate_balanced_dataset``,
+``filtering_ablation``). And it trains and evaluates the second half of the
+rows of ``run_comparison`` and ``augmentation_sweep`` while this process does
+the first half; a row that needs the shared baseline and stack has them
+trained before the rows' lanes start. Only results cross the process
+boundary: every classifier is built here with ``new_classifier``, in the
+order a sequential run builds them, and the worker's trained parameters are
+copied into it, so every number, weight and hash is bitwise what running the
+jobs one after the other gives. The worker starts only when it can help and
+is safe: at least two CPUs in this process's affinity mask, ``os.fork``
+available, one Python thread in the process, at least two jobs with work, and
+no worker already running (neither a worker nor its parent starts another, so
+at most two processes compute at once). Otherwise the same jobs run inline,
+in order. No option selects this. What callers see of the worker: its memory
+is its own, so this process's ``ru_maxrss`` does not include it
 (``RUSAGE_CHILDREN`` does); and a tracer installed in this process by
 patching module globals records only this process's spans, not the
-baseline's training or class 1's sampling.
+baseline's training, class 1's sampling or the worker's rows.
 """
 
 from __future__ import annotations
@@ -61,10 +67,10 @@ A = TypeVar("A")
 B = TypeVar("B")
 
 # ---------------------------------------------------------------------------
-# the side-by-side worker
+# the two lanes
 # ---------------------------------------------------------------------------
 
-_IN_WORKER = False  # set only in a forked worker, which must not fork again
+_BUSY = False  # True while a worker runs, in it and in its parent: neither may start another
 
 
 def _usable_cpus() -> int:
@@ -77,13 +83,11 @@ def _worker_can_start() -> bool:
     # thread, so a lock another Python thread holds would stay locked in the
     # child; with one Python thread there is none. (OpenBLAS stops its own
     # thread pool before a fork and starts it again when next needed.)
-    return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1 and not _IN_WORKER
+    return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1 and not _BUSY
 
 
 def _run_worker(fn: Callable[[], object], fd: int) -> None:
     """Body of the forked child: send ``fn()``'s pickled result or exception down ``fd``, then exit."""
-    global _IN_WORKER
-    _IN_WORKER = True
     try:
         try:
             payload = pickle.dumps((True, fn()))
@@ -149,15 +153,34 @@ def _forked(fn: Callable[[], B]) -> Iterator[Callable[[], B]]:
             os.waitpid(pid, 0)
 
 
-def _side_by_side(here: Callable[[], A] | None, there: Callable[[], B] | None) -> tuple[A | None, B | None]:
-    """``(here(), there())``, with ``there()`` in a forked worker while ``here()``
-    runs in this process when a worker can start; otherwise inline, ``here()``
-    first. A side given as None has no work and gives None."""
-    if here is None or there is None or not _worker_can_start():
-        return (None if here is None else here()), (None if there is None else there())
-    with _forked(there) as result:
-        mine = here()
-        return mine, result()
+def _lanes(jobs: list[Callable[[], A] | None]) -> list[A | None]:
+    """Every job's result, in job order; a job given as None has no work and gives None.
+
+    When a worker can start and at least two jobs have work, this process runs
+    the first half of them (rounded up) and a forked worker the rest, each lane
+    in job order; otherwise all run inline, in job order. The split is
+    contiguous, so the exception raised is the earliest failing job's, as
+    inline: one in this process's lane comes first (and the worker is killed),
+    else the worker's first. Neither lane can start a worker of its own."""
+    global _BUSY
+    todo = [i for i, job in enumerate(jobs) if job is not None]
+    split = (len(todo) + 1) // 2 if len(todo) > 1 and _worker_can_start() else len(todo)
+
+    def run(lane: list[int]) -> list:
+        return [jobs[i]() for i in lane]
+
+    if split == len(todo):
+        done = run(todo)
+    else:
+        _BUSY = True  # the worker inherits it
+        try:
+            with _forked(partial(run, todo[split:])) as theirs:
+                done = run(todo[:split])
+                done += theirs()
+        finally:
+            _BUSY = False
+    results = iter(done)
+    return [None if job is None else next(results) for job in jobs]
 
 
 class GenerationShortfallError(RuntimeError):
@@ -299,11 +322,11 @@ def _generate_class(
 def _generate_classes(
     stack: GenerativeStack, plan: GenerationPlan, baseline: ClassifierModel | None, rngs: list[RngStream]
 ) -> list[_ClassDraw]:
-    """Both classes' draws: class 1 in the worker while class 0 runs here."""
+    """Both classes' draws, in two lanes: class 1 in the worker while class 0 runs here."""
     draw = partial(_generate_class, stack, plan, baseline)
     # a class with no target draws nothing, so it is no work for the worker
     jobs = [partial(draw, cls, rngs[cls]) if plan.target_counts[cls] else None for cls in (0, 1)]
-    return [d or draw(cls, rngs[cls]) for cls, d in enumerate(_side_by_side(*jobs))]
+    return [d or draw(cls, rngs[cls]) for cls, d in enumerate(_lanes(jobs))]
 
 
 def generate_balanced_dataset(
@@ -410,8 +433,8 @@ class ExperimentContext:
         self, splits: Splits, rng: RngStream, baseline: bool = True, stack: bool = True
     ) -> tuple[ClassifierModel | None, GenerativeStack | None]:
         """The shared baseline and generative stack (each only if asked for),
-        trained on first use from the bound stream; when both are missing the
-        baseline trains in the worker while the stack trains here."""
+        trained on first use from the bound stream; when both are missing they
+        train in two lanes, the baseline in the worker while the stack trains here."""
         self.bind(splits, rng)
         rng = self._bound[1]
         train_stack = train_base = None
@@ -419,10 +442,13 @@ class ExperimentContext:
             train_stack = partial(train_generative_stack, splits.train, self.stack_cfg, rng.split("stack"))
         if baseline and self.baseline is None:
             model = self.new_classifier(splits, rng.split("baseline-init"))
-            train_base = partial(_train_baseline, model, splits, self.regime, rng.split("baseline-train"))
-        new_stack, state = _side_by_side(train_stack, train_base)
-        if state is not None:
-            _load_trained(model, state)
+            train = partial(
+                train_classifier, model, splits.train, self.regime, rng.split("baseline-train"), val_ds=splits.val
+            )
+            train_base = partial(_trained, model, train)
+        new_stack, trained = _lanes([train_stack, train_base])
+        if trained is not None:
+            _load_trained(model, trained[1])
             self.baseline = model
         if new_stack is not None:
             self.stack = new_stack
@@ -435,10 +461,12 @@ class ExperimentContext:
         return self.ensure_models(splits, rng, baseline=False)[1]
 
 
-def _train_baseline(model: ClassifierModel, splits: Splits, regime: TrainRegime, rng: RngStream) -> tuple:
-    """Train ``model`` in place; returns the trained state, which is all a worker sends back."""
-    train_classifier(model, splits.train, regime, rng, val_ds=splits.val)
-    return model.trained, [(p.data, p.first_moment, p.second_moment, p.step_count) for p in model.parameters()]
+def _trained(model: ClassifierModel, train: Callable[[], A]) -> tuple[A, tuple]:
+    """``train()``, which trains ``model`` in place, and then the model's trained
+    state: all a worker sends back for ``_load_trained`` to copy into this
+    process's ``model``."""
+    out = train()
+    return out, (model.trained, [(p.data, p.first_moment, p.second_moment, p.step_count) for p in model.parameters()])
 
 
 def _load_trained(model: ClassifierModel, state: tuple) -> None:
@@ -464,12 +492,26 @@ def diffupt_run(
     """Full method: generate, pretrain on synthetic, fine-tune on real."""
     ctx = ctx or ExperimentContext(diffupt_cfg=cfg)
     baseline, stack = ctx.ensure_models(splits, rng, stack=synthetic is None)
+    return _diffupt_after(splits, cfg, rng, baseline, stack, synthetic, partial(ctx.new_classifier, splits))
+
+
+def _diffupt_after(
+    splits: Splits,
+    cfg: DiffuPTConfig,
+    rng: RngStream,
+    baseline: ClassifierModel | None,
+    stack: GenerativeStack | None,
+    synthetic: LabeledDataset | None,
+    new_classifier: Callable[[RngStream], ClassifierModel],
+) -> DiffuPTResult:
+    """DiffuPT once its shared models exist: generate (unless ``synthetic`` is
+    given), then pretrain and fine-tune the classifier ``new_classifier`` gives."""
     if synthetic is None:
         synthetic, stats = generate_balanced_dataset(stack, cfg.generation, baseline, rng.split("generate"))
     else:
         stats = GenerationStats(requested=cfg.generation.target_counts, kept=synthetic.class_counts)
 
-    model = ctx.new_classifier(splits, rng.split("diffupt-init"))
+    model = new_classifier(rng.split("diffupt-init"))
     if len(synthetic):
         train_classifier(model, synthetic, cfg.pretrain, rng.split("pretrain"), val_ds=splits.val)
     pretrain_val = _evaluate(model, splits.val)
@@ -490,39 +532,64 @@ def diffupt_run(
 # ---------------------------------------------------------------------------
 
 
-# A runner trains one method's model(s) and returns its (val, test) reports;
-# ``count`` is N of the label gen_augment(N) and None for every other method.
-Runner = Callable[[Splits, ExperimentContext, RngStream, int | None], tuple[M.EvalReport, M.EvalReport]]
+# A runner is called in this process, in row order. It builds what must be built
+# here (the method's classifier with ``ctx.new_classifier``, and the shared
+# baseline and stack when the method needs them) and returns that classifier
+# with the job that trains it in place and returns its (val, test) reports; the
+# job runs in the row's lane. ``count`` is N of the label gen_augment(N) and None
+# for every other method.
+Job = Callable[[], tuple[M.EvalReport, M.EvalReport]]
+Runner = Callable[[Splits, ExperimentContext, RngStream, int | None], tuple[ClassifierModel, Job]]
+# A training set is chosen here like a runner and built in the row's lane by the function returned.
+TrainSet = Callable[[Splits, ExperimentContext, RngStream, int | None], Callable[[], LabeledDataset]]
 
 
-def _smote_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None) -> LabeledDataset:
+def _smote_minority(
+    splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None
+) -> Callable[[], LabeledDataset]:
     """The real set plus SMOTE minority samples up to the majority count."""
-    train = splits.train
-    n_neg, n_pos = train.class_counts
-    minority = train.images[train.labels == 1]
-    new = smote_oversample(minority, k=min(5, len(minority) - 1), n_new=max(0, n_neg - n_pos), rng=rng.split("smote"))
-    return concat_datasets([train, class_dataset([new[:0], new], SYNTHETIC)])
+
+    def build() -> LabeledDataset:
+        train = splits.train
+        n_neg, n_pos = train.class_counts
+        minority = train.images[train.labels == 1]
+        n_new = max(0, n_neg - n_pos)
+        new = smote_oversample(minority, k=min(5, len(minority) - 1), n_new=n_new, rng=rng.split("smote"))
+        return concat_datasets([train, class_dataset([new[:0], new], SYNTHETIC)])
+
+    return build
 
 
-def _generated_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None) -> LabeledDataset:
+def _generated_minority(
+    splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None
+) -> Callable[[], LabeledDataset]:
     """The real set plus ``count`` generated, baseline-filtered minority samples."""
     if count == 0:
-        return splits.train
+        return lambda: splits.train
     baseline, stack = ctx.ensure_models(splits, rng)
     plan = replace(ctx.diffupt_cfg.generation, target_counts=(0, count))
-    synth, _ = generate_balanced_dataset(stack, plan, baseline, rng.split("augment-gen"))
-    return concat_datasets([splits.train, synth])
+
+    def build() -> LabeledDataset:
+        synth, _ = generate_balanced_dataset(stack, plan, baseline, rng.split("augment-gen"))
+        return concat_datasets([splits.train, synth])
+
+    return build
 
 
-def _one_classifier(train_set: Callable[..., LabeledDataset] | None = None, **regime_changes) -> Runner:
+def _one_classifier(train_set: TrainSet | None = None, **regime_changes) -> Runner:
     """Train one fresh classifier on ``train_set`` (default: the real training
     set) under the context's regime with ``regime_changes`` applied."""
 
     def run(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
-        train = splits.train if train_set is None else train_set(splits, ctx, rng, count)
+        train = (lambda: splits.train) if train_set is None else train_set(splits, ctx, rng, count)
         model = ctx.new_classifier(splits, rng.split("init"))
-        train_classifier(model, train, replace(ctx.regime, **regime_changes), rng.split("train"), val_ds=splits.val)
-        return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+        def job():
+            regime = replace(ctx.regime, **regime_changes)
+            train_classifier(model, train(), regime, rng.split("train"), val_ds=splits.val)
+            return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+        return model, job
 
     return run
 
@@ -531,15 +598,25 @@ def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: 
     """Decoupled retraining (Kang et al. 2020): train, then retrain only the head class-balanced."""
     regime = ctx.regime
     model = ctx.new_classifier(splits, rng.split("init"))
-    train_classifier(model, splits.train, regime, rng.split("stage1"), val_ds=splits.val)
-    multi_stage_retrain(model, splits.train, rng.split("stage2"), val_ds=splits.val,
-                        iterations=max(1, regime.iterations // 2), lr=regime.lr, batch=regime.batch)
-    return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+    def job():
+        train_classifier(model, splits.train, regime, rng.split("stage1"), val_ds=splits.val)
+        multi_stage_retrain(model, splits.train, rng.split("stage2"), val_ds=splits.val,
+                            iterations=max(1, regime.iterations // 2), lr=regime.lr, batch=regime.batch)
+        return _evaluate(model, splits.val), _evaluate(model, splits.test)
+
+    return model, job
 
 
 def _diffupt(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
-    res = diffupt_run(splits, ctx.diffupt_cfg, rng, ctx=ctx)
-    return res.val, res.test
+    baseline, stack = ctx.ensure_models(splits, rng)
+    model = ctx.new_classifier(splits, rng.split("diffupt-init"))
+
+    def job():
+        res = _diffupt_after(splits, ctx.diffupt_cfg, rng, baseline, stack, None, lambda _: model)
+        return res.val, res.test
+
+    return model, job
 
 
 # class_weights=None weighs the loss by the inverse class frequency of the training set
@@ -559,27 +636,32 @@ METHODS: dict[str, Runner] = {
 
 
 def _method(label: str) -> tuple[Runner, int | None]:
-    """The runner for ``label`` and gen_augment's count; ValueError for an unknown label."""
+    """The runner for ``label`` and gen_augment's count; ValueError for an unknown
+    label or a negative count."""
     if label.startswith("gen_augment(") and label.endswith(")"):
-        return METHODS["gen_augment"], int(label[len("gen_augment(") : -1])
+        count = int(label[len("gen_augment(") : -1])
+        if count < 0:
+            raise ValueError(f"gen_augment needs a count >= 0, got {label!r}")
+        return METHODS["gen_augment"], count
     if label == "gen_augment" or label not in METHODS:
         raise ValueError(f"unknown method label {label!r}")
     return METHODS[label], None
 
 
-def run_method(label: str, splits: Splits, ctx: ExperimentContext, rng: RngStream) -> MethodResult:
-    """Train and evaluate one imbalance-mitigation method."""
-    run, count = _method(label)
-    return MethodResult(label, *run(splits, ctx, rng, count))
-
-
 def run_comparison(splits: Splits, methods: list[str], rng: RngStream, ctx: ExperimentContext | None = None) -> list[MethodResult]:
-    """One row per method, trained on shared splits with per-method streams."""
+    """One row per method, trained on shared splits with per-method streams.
+
+    Every row's classifier, and the shared models a row needs, are built here
+    in row order; then the rows train and are evaluated in two lanes, and the
+    worker's trained classifiers are copied into the ones built here."""
     ctx = ctx or ExperimentContext()
-    for label in methods:
-        _method(label)  # fail fast on unknown labels
+    runners = [_method(label) for label in methods]  # fail fast on bad labels
     ctx.bind(splits, rng)  # shared models come from the root stream, not from whichever row asks first
-    return [run_method(label, splits, ctx, rng.split(label)) for label in methods]
+    built = [run(splits, ctx, rng.split(label), count) for label, (run, count) in zip(methods, runners)]
+    done = _lanes([partial(_trained, model, job) for model, job in built])
+    for (model, _), (_, state) in zip(built, done):
+        _load_trained(model, state)
+    return [MethodResult(label, *reports) for label, (reports, _) in zip(methods, done)]
 
 
 def augmentation_sweep(
@@ -591,14 +673,8 @@ def augmentation_sweep(
     """Harmonic mean vs number of added filtered synthetic minority samples.
 
     Count 0 is exactly the weighted-sampler baseline row (same stream)."""
-    ctx = ctx or ExperimentContext()
-    ctx.bind(splits, rng)
-    out = []
-    for count in counts:
-        label = "weighted_sampler" if count == 0 else f"gen_augment({count})"
-        res = run_method(label, splits, ctx, rng.split(label))
-        out.append((count, res))
-    return out
+    labels = ["weighted_sampler" if count == 0 else f"gen_augment({count})" for count in counts]
+    return list(zip(counts, run_comparison(splits, labels, rng, ctx)))
 
 
 @dataclass
@@ -618,12 +694,13 @@ def distribution_ablation(
     ctx: ExperimentContext | None = None,
 ) -> list[DistributionRow]:
     """Pretrain-only models on synthetic sets of varying class composition."""
+    for pos_pct, neg_pct in distributions:
+        if pos_pct + neg_pct != 100:
+            raise ValueError(f"distribution must sum to 100, got {pos_pct}-{neg_pct}")
     ctx = ctx or ExperimentContext()
     baseline, stack = ctx.ensure_models(splits, rng)
     rows = []
     for pos_pct, neg_pct in distributions:
-        if pos_pct + neg_pct != 100:
-            raise ValueError(f"distribution must sum to 100, got {pos_pct}-{neg_pct}")
         n_pos = round(total * pos_pct / 100)
         plan = replace(ctx.diffupt_cfg.generation, target_counts=(total - n_pos, n_pos))
         drng = rng.split(f"dist-{pos_pct}-{neg_pct}")

@@ -15,9 +15,7 @@ from diffupt.data import (
     class_weights,
     concat_datasets,
     generate_synth_fundus,
-    load_dataset,
     measure_cup_disc_ratio,
-    save_dataset,
     smote_oversample,
     stratified_split,
 )
@@ -296,23 +294,6 @@ def test_smote_distances_in_bounded_memory_match_one_pass():
     lam = lam.reshape(200, 1, 1, 1)
     ref = minority[base] + lam * (minority[knn[base, pick]] - minority[base])
     assert np.array_equal(out, ref)
-
-
-# ---------------------------------------------------------------------------
-# files
-# ---------------------------------------------------------------------------
-
-
-def test_dataset_file_roundtrip(tmp_path):
-    ds = generate_synth_fundus(SynthFundusConfig(seed=16, image_size=8), 12, 4)
-    path = tmp_path / "data.bin"
-    save_dataset(ds, path)
-    back = load_dataset(path)
-    assert np.array_equal(back.images, ds.images)
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.provenance, ds.provenance)
-    manifest = (tmp_path / "data.bin.manifest.txt").read_text()
-    assert "class_1: 4" in manifest
 
 
 def test_concat_datasets_counts():

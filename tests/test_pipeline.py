@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import re
 import signal
 import threading
 from dataclasses import replace
@@ -132,6 +133,31 @@ def test_unknown_method_raises_before_any_training(monkeypatch):
     assert calls == []
 
 
+def _record_training(monkeypatch):
+    """Calls to train a classifier or a generative stack; one CPU keeps every call in this process."""
+    calls = []
+    monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(P, "train_classifier", lambda *a, **k: calls.append("classifier"))
+    monkeypatch.setattr(P, "train_generative_stack", lambda *a, **k: calls.append("stack"))
+    return calls
+
+
+def test_negative_augment_count_raises_before_any_training(monkeypatch):
+    calls = _record_training(monkeypatch)
+    with pytest.raises(ValueError, match="gen_augment"):
+        P.run_comparison(_tiny_splits(), ["normal", "gen_augment(-2)"], RngStream(0), ctx=_tiny_context())
+    with pytest.raises(ValueError, match="gen_augment"):
+        P.augmentation_sweep(_tiny_splits(), [0, -2], RngStream(0), ctx=_tiny_context())
+    assert calls == []
+
+
+def test_bad_distribution_raises_before_any_training(monkeypatch):
+    calls = _record_training(monkeypatch)
+    with pytest.raises(ValueError, match="must sum to 100"):
+        P.distribution_ablation(_tiny_splits(), [(50, 50), (60, 30)], 6, RngStream(0), ctx=_tiny_context())
+    assert calls == []
+
+
 def test_context_cache_refuses_other_splits():
     ctx = _tiny_context()
     splits, rng = _tiny_splits(0), RngStream(0)
@@ -160,17 +186,21 @@ def test_shortfall_error_survives_pickling():
 
 
 # ---------------------------------------------------------------------------
-# the side-by-side worker
+# the two lanes
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the pipeline's forks; ``cpus`` sets the CPU count the pipeline sees."""
+    """Counts the pipeline's forks in this process, with two CPUs seen; a fork
+    asked for in a worker raises there, and the error arrives here."""
     calls = []
     real_fork = os.fork
+    parent = os.getpid()
 
     def fork():
+        if os.getpid() != parent:
+            raise AssertionError("a worker started a worker")
         calls.append(1)
         return real_fork()
 
@@ -192,17 +222,24 @@ def _run_outputs(experiment):
     return repr(out), [m.weight_bytes() for m in ctx.models]
 
 
+COMPARE_METHODS = ALL_METHODS[:6]  # the benchmark's compare rows
+
+# each experiment and its forks: the baseline beside the stack, class 1 beside
+# class 0, and one for a comparison's rows (no row forks while their worker runs)
 EXPERIMENTS = {
-    "diffupt_run": lambda s, r, c: P.diffupt_run(s, c.diffupt_cfg, r, ctx=c),
-    "filtering_ablation": lambda s, r, c: P.filtering_ablation(s, r, ctx=c),
+    "diffupt_run": (lambda s, r, c: P.diffupt_run(s, c.diffupt_cfg, r, ctx=c), 2),
+    "filtering_ablation": (lambda s, r, c: P.filtering_ablation(s, r, ctx=c), 2),
+    "compare_rows": (lambda s, r, c: P.run_comparison(s, COMPARE_METHODS, r, ctx=c), 1),
+    "all_methods": (lambda s, r, c: P.run_comparison(s, ALL_METHODS, r, ctx=c), 2),
+    "augmentation_sweep": (lambda s, r, c: P.augmentation_sweep(s, [0, 4, 8], r, ctx=c), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_worker_and_inline_runs_agree_bitwise(name, forks, monkeypatch):
-    experiment = EXPERIMENTS[name]
+    experiment, n_forks = EXPERIMENTS[name]
     in_worker = _run_outputs(experiment)
-    assert len(forks) == 2  # the baseline beside the stack, class 1 beside class 0
+    assert len(forks) == n_forks
     _cpus(monkeypatch, 1)
     assert _run_outputs(experiment) == in_worker
     _cpus(monkeypatch, 2)
@@ -215,7 +252,7 @@ def test_worker_and_inline_runs_agree_bitwise(name, forks, monkeypatch):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert len(forks) == 2  # neither one CPU nor a second thread started a worker
+    assert len(forks) == n_forks  # neither one CPU nor a second thread started a worker
 
 
 def test_no_worker_for_a_side_without_work(forks):
@@ -224,9 +261,30 @@ def test_no_worker_for_a_side_without_work(forks):
 
 
 def test_worker_cannot_start_another_worker(forks):
-    inner = P._side_by_side(lambda: 1, lambda: P._side_by_side(os.getpid, os.getpid))
+    inner = P._lanes([lambda: 1, lambda: P._lanes([os.getpid, os.getpid])])
     assert len(forks) == 1
     assert inner[1][0] == inner[1][1] != os.getpid()
+    # nor can this process while its worker runs
+    inner = P._lanes([lambda: P._lanes([os.getpid, os.getpid]), lambda: 1])
+    assert len(forks) == 2
+    assert inner[0] == [os.getpid(), os.getpid()]
+
+
+def test_lanes_split_contiguously_and_keep_job_order(forks):
+    jobs = [lambda i=i: (i, os.getpid()) for i in range(5)]
+    out = P._lanes(jobs[:2] + [None] + jobs[2:])
+    assert len(forks) == 1
+    assert [o and o[0] for o in out] == [0, 1, None, 2, 3, 4]
+    pids = [o[1] for o in out if o]
+    assert pids[:3] == [os.getpid()] * 3 and pids[3] == pids[4] != os.getpid()
+
+
+@pytest.mark.parametrize("labels", [["diffupt", "normal"], ["normal", "diffupt"]], ids=["here", "in_worker"])
+def test_one_lane_fork_per_comparison_and_none_while_its_worker_runs(forks, labels):
+    P.run_comparison(_tiny_splits(3), labels, RngStream(3), ctx=_tiny_context())
+    # the shared models beside each other, then the rows; diffupt's two classes
+    # are drawn inline in whichever lane has the row
+    assert len(forks) == 2
 
 
 def _diverge():
@@ -248,7 +306,7 @@ def _raise_unpicklable():
 
 def test_worker_exception_arrives_with_its_type(forks):
     with pytest.raises(DivergenceError, match="diverged in process") as info:
-        P._side_by_side(lambda: 1, _diverge)
+        P._lanes([lambda: 1, _diverge])
     assert f"process {os.getpid()}" not in str(info.value)
     assert "_diverge" in str(info.value.__cause__)  # the worker's traceback
 
@@ -256,7 +314,7 @@ def test_worker_exception_arrives_with_its_type(forks):
 @pytest.mark.parametrize("raiser", [_raise_unloadable, _raise_unpicklable])
 def test_worker_exception_that_cannot_cross_carries_the_traceback(forks, raiser):
     with pytest.raises(RuntimeError, match="could not be sent back") as info:
-        P._side_by_side(lambda: 1, raiser)
+        P._lanes([lambda: 1, raiser])
     assert "Traceback" in str(info.value) and raiser.__name__ in str(info.value)
 
 
@@ -266,7 +324,7 @@ def test_worker_exception_that_cannot_cross_carries_the_traceback(forks, raiser)
 )
 def test_dead_worker_raises_child_process_error(forks, die, status):
     with pytest.raises(ChildProcessError, match=status):
-        P._side_by_side(lambda: 1, die)
+        P._lanes([lambda: 1, die])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -288,3 +346,35 @@ def test_no_child_is_left_after_success_or_a_failure_here(forks, monkeypatch):
     assert len(forks) == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _diverging_runner(label):
+    """A runner that builds its classifier and whose job raises ``DivergenceError`` naming ``label``."""
+
+    def run(splits, ctx, rng, count):
+        model = ctx.new_classifier(splits, rng.split("init"))
+
+        def job():
+            raise DivergenceError(f"{label} diverged in process {os.getpid()}")
+
+        return model, job
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [["weighted_ce"], ["smote_augment"], ["weighted_ce", "multi_stage+sampler"], ["multi_stage+sampler", "smote_augment"]],
+    ids=["here", "in_worker", "both_lanes", "twice_in_worker"],
+)
+def test_earliest_failing_row_raises_with_its_type(forks, monkeypatch, failing):
+    for label in failing:
+        monkeypatch.setitem(P.METHODS, label, _diverging_runner(label))
+    ctx = _tiny_context()
+    with pytest.raises(DivergenceError, match=f"^{re.escape(failing[0])} diverged") as info:
+        P.run_comparison(_tiny_splits(3), COMPARE_METHODS, RngStream(3), ctx=ctx)
+    in_worker = COMPARE_METHODS.index(failing[0]) >= 3
+    assert (f"process {os.getpid()}" not in str(info.value)) == in_worker
+    assert len(forks) == 1 and len(ctx.models) == 6  # every row's classifier was built here first
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # a failure in this process's lane killed and reaped the worker
