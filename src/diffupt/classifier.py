@@ -60,6 +60,7 @@ class ClassifierModel(Module):
             self.fc1 = Linear(dim, feature_dim, r.split("fc1"))
             self.fc2 = Linear(feature_dim, feature_dim, r.split("fc2"))
         self.head = Linear(feature_dim, 1, rng.split("head"))
+        self.pack_parameters()
 
     def feature_parameters(self) -> list[nc.Parameter]:
         return [p for name, p in self.named_parameters() if not name.startswith("head.")]
@@ -89,7 +90,8 @@ class ClassifierModel(Module):
         return nc.tensor._sigmoid_np(logits)
 
     def reinit_head(self, rng: RngStream) -> None:
-        self.head = Linear(self.feature_dim, 1, rng)
+        """Fresh head weights and optimizer state, in place in the parameter buffer."""
+        self.head.reset(rng)
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray, weights: tuple[float, float] | None = None) -> Tensor:
@@ -155,12 +157,13 @@ def train_classifier(
     sampler = IndexSampler(regime.sampler, ds, rng.split("sampler"))
     params = model.parameters() if params is None else params
 
+    values = model.parameter_buffer[0]
     history: list[HistoryRow] = []
     best_hm = -np.inf
-    best_state = None
+    best_values = None
 
     def evaluate(it, loss_val):
-        nonlocal best_hm, best_state
+        nonlocal best_hm, best_values
         if val_ds is None or len(val_ds) == 0:
             return
         rep = M.evaluate_probs(model.predict_proba(val_ds.images), val_ds.labels)
@@ -168,7 +171,7 @@ def train_classifier(
         hm = rep.harmonic_mean if np.isfinite(rep.harmonic_mean) else -np.inf
         if hm >= best_hm:
             best_hm = hm
-            best_state = [(p, p.tensor.data.copy()) for p in model.parameters()]
+            best_values = values.copy()
 
     for i in range(regime.iterations):
         idx = sampler.draw(regime.batch)
@@ -186,9 +189,8 @@ def train_classifier(
         if (i + 1) % regime.eval_every == 0 or i + 1 == regime.iterations:
             evaluate(i + 1, val)
 
-    if best_state is not None:
-        for p, data in best_state:
-            p.tensor.data[...] = data
+    if best_values is not None:
+        values[...] = best_values
     if regime.iterations > 0:
         model.trained = True
     return history

@@ -166,6 +166,7 @@ class MlpDenoiser(DenoiserModel):
         self.cond_proj = Linear(emb_dim, hidden, rng.split("cond"))
         self.fc_mid = Linear(hidden, hidden, rng.split("mid"))
         self.fc_out = Linear(hidden, dim, rng.split("out"))
+        self.pack_parameters()
 
     def __call__(self, x: Tensor, t, y) -> Tensor:
         cond = self.cond_proj(self._cond(t, y))
@@ -232,6 +233,7 @@ class UNetDenoiser(DenoiserModel):
             _CondBlock(2 * widths[i], widths[i], emb_dim, rng.split(f"ub{i}")) for i in reversed(range(depth))
         )
         self.head = Conv2d(widths[0], c, 3, rng.split("head"), pad=1)
+        self.pack_parameters()
 
     def __call__(self, x: Tensor, t, y) -> Tensor:
         cond = self._cond(t, y)
@@ -312,7 +314,8 @@ def train_diffusion(
     losses = np.zeros(cfg.iterations)
     if cfg.iterations == 0:
         return losses
-    ema = [p.tensor.data.copy() for p in params]
+    values = model.parameter_buffer[0]
+    ema = values.copy()
     for i in range(cfg.iterations):
         idx = rng.integers((cfg.batch,), 0, n)
         try:
@@ -326,11 +329,9 @@ def train_diffusion(
             raise DivergenceError(f"diffusion training diverged at iteration {i}: {e}") from e
         losses[i] = val
         d = min(cfg.ema_decay, (i + 1.0) / (i + 10.0))
-        for shadow, p in zip(ema, params):
-            shadow *= d
-            shadow += (1.0 - d) * p.tensor.data
-    for shadow, p in zip(ema, params):
-        p.tensor.data[...] = shadow
+        ema *= d
+        ema += (1.0 - d) * values
+    values[...] = ema
     return losses
 
 

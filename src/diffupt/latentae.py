@@ -38,6 +38,7 @@ class Autoencoder(Module):
         self.out = Conv2d(bc, in_channels, 3, rng.split("out"), pad=1)
         self.register_buffer("latent_shift", np.zeros(latent_channels))
         self.register_buffer("latent_scale", np.ones(latent_channels))
+        self.pack_parameters()
 
     def encode_t(self, x: Tensor) -> Tensor:
         h = silu(self.enc1(x))

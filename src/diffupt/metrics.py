@@ -212,30 +212,54 @@ def binary_class_probs(positive_probs) -> np.ndarray:
 
 
 def ssim(img_a, img_b, window: int = 8, dynamic_range: float = 1.0) -> float:
-    """Mean structural similarity over dense square windows."""
+    """Mean structural similarity over dense square windows of one image pair."""
     a = np.asarray(img_a, dtype=np.float64)
     b = np.asarray(img_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    a = a.reshape(a.shape[-2], a.shape[-1])
-    b = b.reshape(b.shape[-2], b.shape[-1])
-    h, w = a.shape
+    return mean_ssim(a[None], b[None], window, dynamic_range)
+
+
+def mean_ssim(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> float:
+    """Mean SSIM over every dense square window of every image pair.
+
+    Each row of the batches is one image, its trailing two axes H x W. The
+    window is ``min(window, H, W)`` wide. Every window's means, variances and
+    covariance come from 2-D cumulative sums (box sums) of all images at
+    once, so the cost is a few whole-batch passes whatever the window size.
+    """
+    a = np.asarray(batch_a, dtype=np.float64)
+    b = np.asarray(batch_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    h, w = a.shape[-2:]
+    a = a.reshape(n, h, w)
+    b = b.reshape(n, h, w)
     win = min(window, h, w)
+
+    def window_mean(x: np.ndarray) -> np.ndarray:
+        c = np.zeros((n, h + 1, w + 1))
+        inner = c[:, 1:, 1:]
+        np.cumsum(x, axis=1, out=inner)
+        np.cumsum(inner, axis=2, out=inner)
+        box = c[:, win:, win:] - c[:, :-win, win:] - c[:, win:, :-win] + c[:, :-win, :-win]
+        return box / (win * win)
+
+    # centred images keep the sums small, so E[x^2] - E[x]^2 cancels little
+    mean_a = a.mean(axis=(1, 2), keepdims=True)
+    mean_b = b.mean(axis=(1, 2), keepdims=True)
+    a = a - mean_a
+    b = b - mean_b
+    dev_a = window_mean(a)
+    dev_b = window_mean(b)
+    var_a = window_mean(a * a) - dev_a * dev_a
+    var_b = window_mean(b * b) - dev_b * dev_b
+    cov = window_mean(a * b) - dev_a * dev_b
+    mu_a = dev_a + mean_a
+    mu_b = dev_b + mean_b
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
-    wa = np.lib.stride_tricks.sliding_window_view(a, (win, win))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (win, win))
-    mu_a = wa.mean(axis=(-1, -2))
-    mu_b = wb.mean(axis=(-1, -2))
-    var_a = wa.var(axis=(-1, -2))
-    var_b = wb.var(axis=(-1, -2))
-    cov = (wa * wb).mean(axis=(-1, -2)) - mu_a * mu_b
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
-
-
-def mean_ssim(batch_a, batch_b, window: int = 8) -> float:
-    a = np.asarray(batch_a)
-    b = np.asarray(batch_b)
-    return float(np.mean([ssim(x, y, window=window) for x, y in zip(a, b)]))

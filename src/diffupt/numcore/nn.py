@@ -20,6 +20,7 @@ class Module:
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "_buffers", {})
+        object.__setattr__(self, "_parameter_buffer", None)
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -31,6 +32,27 @@ class Module:
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
+
+    def pack_parameters(self) -> None:
+        """Move every parameter's value and Adam moments into one (3, n) buffer,
+        in ``named_parameters`` order, so that ``adam_step`` updates them as one
+        run and ``parameter_buffer`` holds them all. Run it once the module
+        has all its parameters; every model runs it at the end of ``__init__``."""
+        params = self.parameters()
+        buffer = np.zeros((3, sum(p.tensor.size for p in params)), dtype=np.float64)
+        start = 0
+        for p in params:
+            p.move_to(buffer, start)
+            start += p.tensor.size
+        object.__setattr__(self, "_parameter_buffer", buffer)
+
+    @property
+    def parameter_buffer(self) -> np.ndarray:
+        """The (3, n) buffer of ``pack_parameters``: row 0 every parameter's
+        value, rows 1 and 2 its first and second Adam moment."""
+        if self._parameter_buffer is None:
+            raise RuntimeError(f"{type(self).__name__} has not packed its parameters")
+        return self._parameter_buffer
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -96,9 +118,15 @@ class Linear(Module):
 
     def __init__(self, in_dim: int, out_dim: int, rng: RngStream, bias: bool = True):
         super().__init__()
-        std = math.sqrt(2.0 / in_dim)
-        self.w = Parameter(rng.normal((in_dim, out_dim), sd=std))
+        self.w = Parameter(np.zeros((in_dim, out_dim)))
         self.b = Parameter(np.zeros(out_dim)) if bias else None
+        self.reset(rng)
+
+    def reset(self, rng: RngStream) -> None:
+        """He-scaled weights drawn from ``rng``, zero bias, fresh optimizer state."""
+        self.w.reset(rng.normal(self.w.shape, sd=math.sqrt(2.0 / self.w.shape[0])))
+        if self.b is not None:
+            self.b.reset(0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         out = T.matmul(x, self.w.tensor)

@@ -88,7 +88,7 @@ class no_grad:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -249,9 +249,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed in one buffer."""
+    s = np.negative(x, out=np.empty_like(x))
     # exp(-x) overflowing to inf yields exactly 0, which is the right limit
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def relu(x: Tensor) -> Tensor:

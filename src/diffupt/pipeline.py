@@ -466,16 +466,14 @@ def _trained(model: ClassifierModel, train: Callable[[], A]) -> tuple[A, tuple]:
     state: all a worker sends back for ``_load_trained`` to copy into this
     process's ``model``."""
     out = train()
-    return out, (model.trained, [(p.data, p.first_moment, p.second_moment, p.step_count) for p in model.parameters()])
+    return out, (model.trained, model.parameter_buffer, [p.step_count for p in model.parameters()])
 
 
 def _load_trained(model: ClassifierModel, state: tuple) -> None:
-    model.trained, params = state
-    for p, (data, first, second, steps) in zip(model.parameters(), params):
-        p.data[...] = data
-        p.first_moment[...] = first
-        p.second_moment[...] = second
-        p.step_count = steps
+    model.trained, buffer, steps = state
+    model.parameter_buffer[...] = buffer
+    for p, step in zip(model.parameters(), steps):
+        p.step_count = step
 
 
 def _evaluate(model: ClassifierModel, ds: LabeledDataset) -> M.EvalReport:

@@ -25,7 +25,7 @@ from diffupt.diffusion import (
     smoothed,
     train_diffusion,
 )
-from diffupt.numcore import RngStream, ShapeError, Tensor, backward
+from diffupt.numcore import NonFiniteError, RngStream, ShapeError, Tensor, backward
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +442,10 @@ def test_unet_output_shape_matches_input():
     out = model(x, np.array([5, 9]), np.array([0, 2]))
     assert out.shape == (2, 3, 8, 8)
     assert model.class_embed.table.shape[0] == 3
+
+
+def test_nan_in_a_unet_weight_makes_predict_raise():
+    model = UNetDenoiser((4, 4, 4), 8, RngStream(3), emb_dim=16)
+    model.mid.conv1.w.data[0, 0, 1, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        model.predict(RngStream(4).normal((3, 4, 4, 4)), np.full(3, 10), np.zeros(3, dtype=np.int64))

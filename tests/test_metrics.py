@@ -268,6 +268,46 @@ def test_ssim_shape_mismatch_errors():
         M.ssim(np.zeros((8, 8)), np.zeros((8, 9)))
 
 
+def ssim_per_window_reference(a, b, window=8, dynamic_range=1.0):
+    """SSIM by its definition: every dense window's statistics, one image at a time."""
+    a = a.reshape(a.shape[-2], a.shape[-1])
+    b = b.reshape(b.shape[-2], b.shape[-1])
+    h, w = a.shape
+    win = min(window, h, w)
+    c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    vals = []
+    for i in range(h - win + 1):
+        for j in range(w - win + 1):
+            wa, wb = a[i : i + win, j : j + win], b[i : i + win, j : j + win]
+            mu_a, mu_b = wa.mean(), wb.mean()
+            cov = (wa * wb).mean() - mu_a * mu_b
+            num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+            vals.append(num / ((mu_a**2 + mu_b**2 + c1) * (wa.var() + wb.var() + c2)))
+    return np.mean(vals)
+
+
+def _batches(seed, shape):
+    rng = RngStream(seed)
+    a = rng.uniform(shape)
+    return a, np.clip(a + rng.normal(shape, sd=0.2), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "a,b,window",
+    [
+        pytest.param(*_batches(9, (20, 1, 16, 16)), 8, id="random"),
+        pytest.param(*_batches(10, (7, 11, 13)), 5, id="random-11x13"),
+        pytest.param(np.full((3, 1, 16, 16), 0.7), np.full((3, 1, 16, 16), 0.3), 8, id="constant"),
+        pytest.param(*_batches(11, (5, 1, 8, 8)), 8, id="window-is-image"),
+        pytest.param(*_batches(12, (4, 6, 6)), 10, id="window-over-image"),
+    ],
+)
+def test_mean_ssim_equals_the_per_window_definition(a, b, window):
+    ref = np.mean([ssim_per_window_reference(x, y, window) for x, y in zip(a, b)])
+    assert M.mean_ssim(a, b, window=window) == pytest.approx(ref, rel=0, abs=1e-12)
+    assert M.ssim(a[0], b[0], window=window) == pytest.approx(ssim_per_window_reference(a[0], b[0], window), rel=0, abs=1e-12)
+
+
 def test_evaluate_probs_bundles_subgroups():
     probs = np.array([0.9, 0.2, 0.8, 0.3])
     labels = np.array([1, 0, 1, 0])

@@ -1,4 +1,5 @@
-"""Autoencoder and classifier tests: chunked autoencoder passes, decoupled head retraining."""
+"""Model tests: chunked autoencoder passes, decoupled head retraining, the
+packed parameter buffer and fused Adam, non-finite weights."""
 
 import tracemalloc
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from diffupt import classifier as C
-from diffupt.classifier import ClassifierModel, TrainRegime, multi_stage_retrain, train_classifier
+from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
 from diffupt.data import SamplerSpec, SynthFundusConfig, generate_synth_fundus
+from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule
 from diffupt.latentae import Autoencoder, decode, encode
-from diffupt.numcore import RngStream, Tensor, no_grad
+from diffupt.numcore import Linear, NonFiniteError, RngStream, Tensor, adam_step, backward, no_grad
+from diffupt.numcore.optim import _runs
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 454])  # around the 64-row pass, and the report's 454
@@ -65,3 +68,116 @@ def test_stage_two_unfreezes_features_after_an_error(monkeypatch):
     with pytest.raises(C.DivergenceError):
         multi_stage_retrain(model, ds, RngStream(7), iterations=5, batch=8)
     assert all(p.tensor.requires_grad for p in model.feature_parameters())
+
+
+# ---------------------------------------------------------------------------
+# packed parameters and fused Adam
+# ---------------------------------------------------------------------------
+
+
+def adam_loop_reference(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One parameter at a time: the update the fused ``adam_step`` must equal bitwise."""
+    for p in params:
+        gf = p.tensor.grad.reshape(-1)
+        p.step_count += 1
+        p.first_moment *= beta1
+        p.first_moment += (1.0 - beta1) * gf
+        p.second_moment *= beta2
+        p.second_moment += (1.0 - beta2) * gf * gf
+        m_hat = p.first_moment / (1.0 - beta1**p.step_count)
+        v_hat = p.second_moment / (1.0 - beta2**p.step_count)
+        p.tensor.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).reshape(p.shape)
+        p.tensor.grad = None
+
+
+def _classifier(seed):
+    return ClassifierModel((1, 16, 16), RngStream(seed))
+
+
+def _classifier_loss(model, rng):
+    return bce_loss(model.logits_t(Tensor(rng.uniform((6, 1, 16, 16)))), (rng.uniform((6,)) < 0.5).astype(float))
+
+
+def _autoencoder(seed):
+    return Autoencoder(16, 1, 8, 4, RngStream(seed))
+
+
+def _autoencoder_loss(model, rng):
+    x = Tensor(rng.uniform((6, 1, 16, 16)))
+    diff = model.decode_t(model.encode_t(x)) - x
+    return (diff * diff).mean()
+
+
+def _unet(seed):
+    return UNetDenoiser((4, 4, 4), 8, RngStream(seed), emb_dim=16)
+
+
+def _unet_loss(model, rng):
+    return diffusion_loss(model, rng.normal((6, 4, 4, 4)), rng.integers((6,), 0, 2), linear_schedule(50), rng)
+
+
+MODELS = {"classifier": (_classifier, _classifier_loss), "autoencoder": (_autoencoder, _autoencoder_loss), "unet": (_unet, _unet_loss)}
+
+
+def _train_pair(fused, looped, loss_of, params_of, steps=5, lr=1e-3):
+    """``steps`` identical steps on two equal models: fused Adam on one, the loop on the other."""
+    for step in range(steps):
+        for model, update in ((fused, adam_step), (looped, adam_loop_reference)):
+            backward(loss_of(model, RngStream(100 + step)))
+            update(params_of(model), lr)
+        assert fused.parameter_buffer.tobytes() == looped.parameter_buffer.tobytes()
+        assert [p.step_count for p in fused.parameters()] == [p.step_count for p in looped.parameters()]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_fused_adam_equals_the_per_parameter_loop_bitwise(name):
+    build, loss_of = MODELS[name]
+    fused, looped = build(3), build(3)
+    assert len(_runs(fused.parameters())) == 1  # the whole model is one run
+    _train_pair(fused, looped, loss_of, lambda m: m.parameters())
+    assert all(p.step_count == 5 for p in fused.parameters())
+
+
+def test_fused_adam_equals_the_loop_on_a_reinitialised_head():
+    fused, looped = _classifier(3), _classifier(3)
+    _train_pair(fused, looped, _classifier_loss, lambda m: m.parameters(), steps=2)
+    for model in (fused, looped):
+        model.reinit_head(RngStream(9))
+        for p in model.feature_parameters():
+            p.tensor.requires_grad = False
+    assert len(_runs(fused.head.parameters())) == 1  # step 0 head after step 2 features
+    _train_pair(fused, looped, _classifier_loss, lambda m: m.head.parameters())
+    assert [p.step_count for p in fused.parameters()] == [2] * (len(fused.parameters()) - 2) + [5, 5]
+
+
+def test_reinit_head_draws_a_fresh_head_in_place():
+    model = _classifier(3)
+    buffer = model.parameter_buffer
+    backward(_classifier_loss(model, RngStream(4)))
+    adam_step(model.parameters(), 1e-3)
+    model.reinit_head(RngStream(9))
+    fresh = Linear(model.feature_dim, 1, RngStream(9))
+    assert model.parameter_buffer is buffer
+    for p, q in zip(model.head.parameters(), fresh.parameters()):
+        assert np.array_equal(p.data, q.data)
+        assert not p.first_moment.any() and not p.second_moment.any() and p.step_count == 0
+        assert np.shares_memory(p.data, buffer)
+
+
+def test_save_load_round_trip_restores_values_into_the_buffer(tmp_path):
+    trained, other = _autoencoder(3), _autoencoder(4)
+    backward(_autoencoder_loss(trained, RngStream(5)))
+    adam_step(trained.parameters(), 1e-3)
+    trained.save(tmp_path / "ae.bin")
+    other.load(tmp_path / "ae.bin")
+    assert other.weight_bytes() == trained.weight_bytes()
+    assert np.array_equal(other.parameter_buffer[0], trained.parameter_buffer[0])
+    assert not other.parameter_buffer[1:].any()  # values only; the moments stay as they were
+    assert len(_runs(other.parameters())) == 1
+
+
+def test_nan_in_a_classifier_weight_makes_predict_proba_raise():
+    model = _classifier(3)
+    model.mix.w.data[0, 0, 1, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        model.predict_proba(RngStream(4).uniform((3, 1, 16, 16)))
