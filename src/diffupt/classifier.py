@@ -19,6 +19,7 @@ from . import numcore as nc
 from .data import IndexSampler, LabeledDataset, SamplerSpec, class_weights
 from .diffusion import DivergenceError
 from .numcore import (
+    NCHW_TO_CHWB,
     Conv2d,
     Linear,
     Module,
@@ -27,6 +28,7 @@ from .numcore import (
     adam_step,
     backward,
     no_grad,
+    permute,
     silu,
     softplus,
 )
@@ -66,14 +68,15 @@ class ClassifierModel(Module):
         return [p for name, p in self.named_parameters() if not name.startswith("head.")]
 
     def features_t(self, x: Tensor) -> Tensor:
+        """(B, F) features of an NCHW batch; the convs run on (C, H, W, B) maps."""
         b = x.shape[0]
         if self.conv_mode:
-            h = x
+            h = permute(x, NCHW_TO_CHWB)
             for conv in self.convs:
                 h = silu(conv(h))
             h = silu(self.mix(h))
-            h = h.reshape(b, self.feature_dim, -1)
-            return h.mean(axis=2)
+            h = h.reshape(self.feature_dim, -1, b).mean(axis=1)
+            return permute(h, (1, 0))
         h = silu(self.fc1(x.reshape(b, -1)))
         return silu(self.fc2(h))
 

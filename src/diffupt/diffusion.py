@@ -17,6 +17,8 @@ import numpy as np
 
 from . import numcore as nc
 from .numcore import (
+    CHWB_TO_NCHW,
+    NCHW_TO_CHWB,
     Conv2d,
     Embedding,
     Linear,
@@ -30,6 +32,7 @@ from .numcore import (
     backward,
     concat,
     no_grad,
+    permute,
     silu,
     upsample2x,
 )
@@ -236,8 +239,9 @@ class UNetDenoiser(DenoiserModel):
         self.pack_parameters()
 
     def __call__(self, x: Tensor, t, y) -> Tensor:
+        """Noise estimate for an NCHW batch; the convs run on (C, H, W, B) maps."""
         cond = self._cond(t, y)
-        h = silu(self.stem(x))
+        h = silu(self.stem(permute(x, NCHW_TO_CHWB)))
         skips = []
         for block, down in zip(self.down_blocks, self.down_samplers):
             h = block(h, cond)
@@ -246,8 +250,8 @@ class UNetDenoiser(DenoiserModel):
         h = self.mid(h, cond)
         for conv, block in zip(self.up_convs, self.up_blocks):
             h = silu(conv(upsample2x(h)))
-            h = block(concat([h, skips.pop()], axis=1), cond)
-        return self.head(h)
+            h = block(concat([h, skips.pop()], axis=0), cond)
+        return permute(self.head(h), CHWB_TO_NCHW)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,21 @@ from . import diffusion as df
 from . import numcore as nc
 from .data import LabeledDataset
 from .metrics import mean_ssim
-from .numcore import Conv2d, Module, RngStream, ShapeError, Tensor, adam_step, backward, no_grad, silu, upsample2x
+from .numcore import (
+    CHWB_TO_NCHW,
+    NCHW_TO_CHWB,
+    Conv2d,
+    Module,
+    RngStream,
+    ShapeError,
+    Tensor,
+    adam_step,
+    backward,
+    no_grad,
+    permute,
+    silu,
+    upsample2x,
+)
 
 
 class Autoencoder(Module):
@@ -41,14 +55,16 @@ class Autoencoder(Module):
         self.pack_parameters()
 
     def encode_t(self, x: Tensor) -> Tensor:
-        h = silu(self.enc1(x))
+        """NCHW images to NCHW latents."""
+        h = silu(self.enc1(permute(x, NCHW_TO_CHWB)))
         h = silu(self.enc2(h))
-        return self.enc3(h)
+        return permute(self.enc3(h), CHWB_TO_NCHW)
 
     def decode_t(self, z: Tensor) -> Tensor:
-        h = silu(self.dec1(z))
+        """NCHW latents to NCHW images."""
+        h = silu(self.dec1(permute(z, NCHW_TO_CHWB)))
         h = silu(self.dec2(upsample2x(h)))
-        return self.out(upsample2x(h))
+        return permute(self.out(upsample2x(h)), CHWB_TO_NCHW)
 
 
 # Rows per network pass in encode/decode. A pass's conv buffers grow with its

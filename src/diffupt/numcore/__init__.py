@@ -1,6 +1,8 @@
 """Deterministic float64 tensor engine: autodiff, layers, Adam, RNG, weight files."""
 
 from .tensor import (
+    CHWB_TO_NCHW,
+    NCHW_TO_CHWB,
     NonFiniteError,
     ShapeError,
     Tensor,
@@ -11,6 +13,7 @@ from .tensor import (
     embedding,
     matmul,
     no_grad,
+    permute,
     relu,
     sigmoid,
     silu,
@@ -23,6 +26,8 @@ from .nn import Conv2d, Embedding, Linear, Module, ModuleList
 from .serial import SerializationError, load_state, save_state
 
 __all__ = [
+    "NCHW_TO_CHWB",
+    "CHWB_TO_NCHW",
     "Tensor",
     "ShapeError",
     "NonFiniteError",
@@ -35,6 +40,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "concat",
+    "permute",
     "embedding",
     "upsample2x",
     "add_channel_bias",

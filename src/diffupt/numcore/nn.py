@@ -136,7 +136,7 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """3x3-ish convolution layer with stride/pad baked in at construction."""
+    """3x3-ish convolution layer with stride/pad baked in at construction, on (C, H, W, B) feature maps."""
 
     def __init__(self, cin: int, cout: int, k: int, rng: RngStream, stride: int = 1, pad: int = 0, bias: bool = True):
         super().__init__()

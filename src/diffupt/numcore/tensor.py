@@ -11,13 +11,16 @@ operand's shape without the leading batch dimension. Anything else needs
 an explicit reshape. Conditioning-style per-channel additions go through
 the dedicated ``add_channel_bias`` op.
 
-``conv2d`` takes and returns NCHW tensors but works internally in a
-batch-innermost (C, H, W, B) layout. In NCHW every run that im2col copies
+Feature maps are batch-innermost: ``conv2d``, ``upsample2x`` and
+``add_channel_bias`` take and return (C, H, W, B) tensors, and channel
+concatenation is ``concat(axis=0)``. In NCHW every run that im2col copies
 or col2im scatters is only ``wout`` values long (2 to 8 at this pipeline's
-feature-map sizes); batch-innermost, each run is at least B long, and the
+feature-map sizes); batch-innermost, each run is at least B long, the
 weight-gradient GEMM takes the patch matrix as a transposed view instead of
-a transposing copy. The input is transposed once into the padded buffer,
-and the output and its gradient once on the way out and back in.
+a transposing copy, and a conv's output is already the next conv's input
+layout, so nothing is transposed between layers. A model converts once at
+its boundary, with ``permute``, from the NCHW batches its callers pass and
+back to what they expect.
 
 Each conv also expands its narrower side, chosen from shapes alone. The
 patch matrix has Cin*K*K rows per output position; a conv with few output
@@ -39,6 +42,8 @@ import threading
 import numpy as np
 
 __all__ = [
+    "NCHW_TO_CHWB",
+    "CHWB_TO_NCHW",
     "Tensor",
     "ShapeError",
     "NonFiniteError",
@@ -51,10 +56,16 @@ __all__ = [
     "sigmoid",
     "softplus",
     "concat",
+    "permute",
     "embedding",
     "upsample2x",
     "add_channel_bias",
 ]
+
+
+# ``permute`` axes between a model's NCHW batches and its (C, H, W, B) feature maps
+NCHW_TO_CHWB = (1, 2, 3, 0)
+CHWB_TO_NCHW = (3, 0, 1, 2)
 
 
 class ShapeError(ValueError):
@@ -326,7 +337,20 @@ def _reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(value, "reshape", (x,), back)
 
 
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """``x`` with its axes reordered (``np.transpose``), as a contiguous copy."""
+    axes = tuple(axes)
+    value = x.data.transpose(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def back(g):
+        return (g.transpose(inverse),)
+
+    return _make(value, "permute", (x,), back)
+
+
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis``; for (C, H, W, B) feature maps, channels are axis 0."""
     value = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -355,28 +379,28 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a per-sample, per-channel bias (B,C) onto feature maps (B,C,...)."""
-    if x.ndim < 2 or b.shape != x.shape[:2]:
-        raise ShapeError(f"add_channel_bias expects bias (B,C) for input (B,C,...), got {b.shape} for {x.shape}")
-    extra = (1,) * (x.ndim - 2)
-    value = x.data + b.data.reshape(b.shape + extra)
-    trailing = tuple(range(2, x.ndim))
+    """Add a per-sample, per-channel bias (B,C) onto feature maps (C,...,B)."""
+    if x.ndim < 2 or b.shape != (x.shape[-1], x.shape[0]):
+        raise ShapeError(f"add_channel_bias expects bias (B,C) for input (C,...,B), got {b.shape} for {x.shape}")
+    C, B = x.shape[0], x.shape[-1]
+    value = x.data + b.data.T.reshape((C,) + (1,) * (x.ndim - 2) + (B,))
+    inner = tuple(range(1, x.ndim - 1))
 
     def back(g):
-        gb = g.sum(axis=trailing) if trailing else g
-        return g, gb
+        return g, g.sum(axis=inner).T
 
     return _make(value, "add_channel_bias", (x, b), back)
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of (B,C,H,W)."""
+    """Nearest-neighbour 2x spatial upsampling of (C,H,W,B)."""
     if x.ndim != 4:
-        raise ShapeError(f"upsample2x expects (B,C,H,W), got {x.shape}")
-    value = x.data.repeat(2, axis=2).repeat(2, axis=3)
+        raise ShapeError(f"upsample2x expects (C,H,W,B), got {x.shape}")
+    C, H, W, B = x.shape
+    value = np.broadcast_to(x.data[:, :, None, :, None], (C, H, 2, W, 2, B)).reshape(C, 2 * H, 2 * W, B)
 
     def back(g):
-        return (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2] + g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2],)
+        return (g[:, 0::2, 0::2] + g[:, 0::2, 1::2] + g[:, 1::2, 0::2] + g[:, 1::2, 1::2],)
 
     return _make(value, "upsample2x", (x,), back)
 
@@ -413,12 +437,11 @@ def _col2im(cols: np.ndarray, padded_shape, kh, kw, stride, hout, wout) -> np.nd
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution of (B,Cin,H,W) with kernels (Cout,Cin,KH,KW).
+    """2-D convolution of (Cin,H,W,B) with kernels (Cout,Cin,KH,KW) to (Cout,hout,wout,B).
 
-    Inputs and output are NCHW; the work is done in the (C, H, W, B) layout
-    described in the module docstring, on whichever side of the conv is
-    narrower. A stride-1 conv whose output side is smaller than its patch
-    matrix (``Cout*Hp*Wp < Cin*hout*wout``, Hp and Wp the padded input
+    The work is done on whichever side of the conv is narrower (see the
+    module docstring). A stride-1 conv whose output side is smaller than its
+    patch matrix (``Cout*Hp*Wp < Cin*hout*wout``, Hp and Wp the padded input
     extents) multiplies the padded input by every kernel tap first and adds
     the KH*KW shifted (Cout, hout, wout, B) slices of that product; its
     weight gradient multiplies KH*KW shifted copies of the output gradient
@@ -432,10 +455,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
-    B, Cin, H, W = x.shape
+    Cin, H, W, B = x.shape
     Cout, Cin_w, KH, KW = w.shape
     if Cin != Cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
+        raise ShapeError(f"conv2d channel mismatch: input (C,H,W,B) {x.shape} vs kernel {w.shape}")
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {bias.shape}")
     hout = (H + 2 * pad - KH) // stride + 1
@@ -446,7 +469,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     Hp, Wp = H + 2 * pad, W + 2 * pad
     output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
     xp = np.zeros((Cin, Hp, Wp, B), dtype=np.float64)
-    xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(1, 2, 3, 0)
+    xp[:, pad : pad + H, pad : pad + W] = x.data
     w2 = w.data.reshape(Cout, -1)
     # rhs is the right operand of the forward GEMM; the weight gradient reuses it
     if output_side:
@@ -464,36 +487,34 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
         out = (w2 @ rhs).reshape(Cout, hout, wout, B)
     if bias is not None:
         out += bias.data[:, None, None, None]
-    value = out.transpose(3, 0, 1, 2)
 
     def back(g):
-        g4 = g.transpose(1, 2, 3, 0)  # (Cout, hout, wout, B) view
+        # g is (Cout, hout, wout, B) and C-contiguous: backward stores each gradient as its own copy
         if output_side:
             shifted = np.zeros((KH, KW, Cout, Hp, Wp, B), dtype=np.float64)
             for i in range(KH):
                 for j in range(KW):
-                    shifted[i, j, :, i : i + hout, j : j + wout] = g4
+                    shifted[i, j, :, i : i + hout, j : j + wout] = g
             gw = shifted.reshape(KH * KW * Cout, -1) @ rhs.T
             gw = gw.reshape(KH, KW, Cout, Cin).transpose(2, 3, 0, 1)
         else:
-            gf = np.ascontiguousarray(g4).reshape(Cout, hout * wout * B)
+            gf = g.reshape(Cout, hout * wout * B)
             gw = (gf @ rhs.T).reshape(w.shape)
         gx = None
         if x.requires_grad and stride == 1:
             # g padded by K-1-pad on each side, or cropped by pad-(K-1) where that is positive
             ch, cw = max(pad - KH + 1, 0), max(pad - KW + 1, 0)
-            src = g4[:, ch : hout - ch, cw : wout - cw]
+            src = g[:, ch : hout - ch, cw : wout - cw]
             qh, qw = max(KH - 1 - pad, 0), max(KW - 1 - pad, 0)
             gp = np.zeros((Cout, H + KH - 1, W + KW - 1, B), dtype=np.float64)
             gp[:, qh : qh + src.shape[1], qw : qw + src.shape[2]] = src
             flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, -1)
-            gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B).transpose(3, 0, 1, 2)
+            gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B)
         elif x.requires_grad:
-            gx = _col2im(w2.T @ gf, (Cin, Hp, Wp, B), KH, KW, stride, hout, wout)
-            gx = gx[:, pad : pad + H, pad : pad + W].transpose(3, 0, 1, 2)
+            gx = _col2im(w2.T @ gf, (Cin, Hp, Wp, B), KH, KW, stride, hout, wout)[:, pad : pad + H, pad : pad + W]
         if bias is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, g.sum(axis=(1, 2, 3))
 
     inputs = (x, w, bias) if bias is not None else (x, w)
-    return _make(value, "conv2d", inputs, back)
+    return _make(out, "conv2d", inputs, back)

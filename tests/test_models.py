@@ -9,10 +9,11 @@ import pytest
 from diffupt import classifier as C
 from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
 from diffupt.data import SamplerSpec, SynthFundusConfig, generate_synth_fundus
-from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule
+from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
 from diffupt.latentae import Autoencoder, decode, encode
 from diffupt.numcore import Linear, NonFiniteError, RngStream, Tensor, adam_step, backward, no_grad
 from diffupt.numcore.optim import _runs
+from test_numcore import conv2d_bruteforce
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 454])  # around the 64-row pass, and the report's 454
@@ -181,3 +182,97 @@ def test_nan_in_a_classifier_weight_makes_predict_proba_raise():
     model.mix.w.data[0, 0, 1, 1] = np.nan
     with pytest.raises(NonFiniteError):
         model.predict_proba(RngStream(4).uniform((3, 1, 16, 16)))
+
+
+# ---------------------------------------------------------------------------
+# NCHW forwards written from the definitions: the models' (C, H, W, B) insides
+# must not show at their NCHW boundaries
+# ---------------------------------------------------------------------------
+
+
+def _silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def _conv(layer, x):
+    return conv2d_bruteforce(x, layer.w.data, stride=layer.stride, pad=layer.pad) + layer.b.data[None, :, None, None]
+
+
+def _up(x):
+    return x.repeat(2, axis=2).repeat(2, axis=3)
+
+
+def _linear(layer, x):
+    return x @ layer.w.data + layer.b.data
+
+
+def _classifier_logits(model, x):
+    h = x
+    for conv in model.convs:
+        h = _silu(_conv(conv, h))
+    features = _silu(_conv(model.mix, h)).mean(axis=(2, 3))
+    return features, _linear(model.head, features).reshape(-1)
+
+
+def _ae_encode(ae, x):
+    return _conv(ae.enc3, _silu(_conv(ae.enc2, _silu(_conv(ae.enc1, x)))))
+
+
+def _ae_decode(ae, z):
+    h = _silu(_conv(ae.dec2, _up(_silu(_conv(ae.dec1, z)))))
+    return _conv(ae.out, _up(h))
+
+
+def _unet_eps(model, x, t, y):
+    cond = _silu(_linear(model.time_proj, sinusoidal_embedding(t, model.emb_dim))) + model.class_embed.table.data[y]
+
+    def block(b, h):
+        h = _silu(_conv(b.conv1, h)) + _linear(b.proj, cond)[:, :, None, None]
+        return _silu(_conv(b.conv2, h))
+
+    h = _silu(_conv(model.stem, x))
+    skips = []
+    for b, down in zip(model.down_blocks, model.down_samplers):
+        h = block(b, h)
+        skips.append(h)
+        h = _silu(_conv(down, h))
+    h = block(model.mid, h)
+    for conv, b in zip(model.up_convs, model.up_blocks):
+        h = block(b, np.concatenate([_silu(_conv(conv, _up(h))), skips.pop()], axis=1))
+    return _conv(model.head, h)
+
+
+def _randomized(model):
+    """``model`` with every parameter, biases too, drawn at random."""
+    values = model.parameter_buffer[0]
+    values[...] = RngStream(8).normal(values.shape, sd=0.3)
+    return model
+
+
+def _close(ours, ref):
+    assert ours.shape == ref.shape
+    assert np.abs(ours - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_classifier_forward_equals_an_nchw_forward():
+    model = _randomized(_classifier(3))
+    x = RngStream(4).uniform((3, 1, 16, 16))  # B=3 is no channel count of the model
+    features, logits = _classifier_logits(model, x)
+    _close(model.extract_features(x), features)
+    _close(model.predict_proba(x), 1.0 / (1.0 + np.exp(-logits)))
+
+
+def test_autoencoder_forward_equals_an_nchw_forward():
+    ae = _randomized(_autoencoder(3))
+    x = RngStream(4).uniform((3, 1, 16, 16))
+    z = RngStream(5).normal((3, 4, 4, 4))
+    _close(encode(ae, x), _ae_encode(ae, x))
+    _close(decode(ae, z), _ae_decode(ae, z))
+
+
+def test_unet_forward_equals_an_nchw_forward():
+    model = _randomized(_unet(3))
+    rng = RngStream(4)
+    x = rng.normal((3, 4, 4, 4))
+    t, y = np.array([1, 20, 45]), np.array([0, 1, 2])
+    _close(model.predict(x, t, y), _unet_eps(model, x, t, y))

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffupt.numcore import (
+    CHWB_TO_NCHW,
+    NCHW_TO_CHWB,
     Conv2d,
     Linear,
     MissingGradError,
@@ -17,6 +19,7 @@ from diffupt.numcore import (
     ShapeError,
     Tensor,
     adam_step,
+    add_channel_bias,
     backward,
     concat,
     conv2d,
@@ -24,6 +27,7 @@ from diffupt.numcore import (
     load_state,
     matmul,
     no_grad,
+    permute,
     relu,
     save_state,
     sigmoid,
@@ -32,6 +36,15 @@ from diffupt.numcore import (
     upsample2x,
 )
 from diffupt.numcore import tensor as tops
+
+
+def to_chwb(a):
+    """An NCHW array in the engine's (C, H, W, B) feature-map layout."""
+    return np.ascontiguousarray(a.transpose(NCHW_TO_CHWB))
+
+
+def to_nchw(a):
+    return a.transpose(CHWB_TO_NCHW)
 
 
 def conv2d_bruteforce(x, w, stride=1, pad=0):
@@ -82,8 +95,8 @@ def test_conv2d_matches_bruteforce_5x5():
     rng = RngStream(11)
     x = rng.normal((1, 1, 5, 5))
     w = rng.normal((1, 1, 3, 3))
-    out = conv2d(Tensor(x), Tensor(w))
-    assert np.allclose(out.data, conv2d_bruteforce(x, w), atol=1e-12)
+    out = conv2d(Tensor(to_chwb(x)), Tensor(w))
+    assert np.allclose(to_nchw(out.data), conv2d_bruteforce(x, w), atol=1e-12)
 
 
 @pytest.mark.parametrize("h", range(1, 9))
@@ -98,7 +111,7 @@ def test_conv2d_bruteforce_all_small_shapes(h, k):
                 continue
             x = rng.normal((2, 2, h, h))
             w = rng.normal((3, 2, k, k))
-            ours = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+            ours = to_nchw(conv2d(Tensor(to_chwb(x)), Tensor(w), stride=stride, pad=pad).data)
             ref = conv2d_bruteforce(x, w, stride=stride, pad=pad)
             assert np.array_equal(ours.shape, ref.shape)
             assert np.allclose(ours, ref, atol=1e-12)
@@ -170,14 +183,16 @@ PIPELINE_CONV_SHAPES = [
 @pytest.mark.parametrize("xshape,wshape,stride", PIPELINE_CONV_SHAPES)
 def test_conv2d_forward_backward_match_einsum_at_pipeline_shapes(xshape, wshape, stride):
     rng = RngStream(sum(xshape) + sum(wshape))
-    x = Tensor(rng.normal(xshape), requires_grad=True)
+    x_nchw = rng.normal(xshape)
+    x = Tensor(to_chwb(x_nchw), requires_grad=True)
     w = Tensor(rng.normal(wshape), requires_grad=True)
     b = Tensor(rng.normal((wshape[0],)), requires_grad=True)
     out = conv2d(x, w, b, stride=stride, pad=1)
-    g = rng.normal(out.shape)
-    backward((out * Tensor(g)).sum())
-    ref_out, ref_gx, ref_gw, ref_gb = conv2d_einsum_reference(x.data, w.data, b.data, g, stride, 1)
-    for ours, ref in ((out.data, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
+    g = rng.normal(to_nchw(out.data).shape)
+    backward((out * Tensor(to_chwb(g))).sum())
+    ref_out, ref_gx, ref_gw, ref_gb = conv2d_einsum_reference(x_nchw, w.data, b.data, g, stride, 1)
+    ours_all = (to_nchw(out.data), to_nchw(x.grad), w.grad, b.grad)
+    for ours, ref in zip(ours_all, (ref_out, ref_gx, ref_gw, ref_gb)):
         assert ours.shape == ref.shape
         assert _rel_err(ours, ref) <= 1e-12
 
@@ -193,7 +208,7 @@ def test_conv2d_gradients_match_finite_differences(stride, cin, cout, pad, with_
     # B=5 equals no channel, kernel, input or output extent, so a batch/channel
     # mix-up in the internal layout cannot pass
     rng = RngStream(300 + 4 * stride + 2 * pad + with_bias + 16 * (cin - 2))
-    x = Tensor(rng.normal((5, cin, 8, 6)), requires_grad=True)
+    x = Tensor(to_chwb(rng.normal((5, cin, 8, 6))), requires_grad=True)
     w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
     b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
     out = conv2d(x, w, b, stride=stride, pad=pad)
@@ -217,7 +232,7 @@ def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
     w = Tensor(rng.normal((4, 2, 3, 3)), requires_grad=True)
     for stride in (1, 2):
         for needs_grad in (False, True):
-            x = Tensor(rng.normal((3, 2, 5, 5)), requires_grad=needs_grad)
+            x = Tensor(to_chwb(rng.normal((3, 2, 5, 5))), requires_grad=needs_grad)
             loss = conv2d(x, w, stride=stride, pad=1).sum()
             calls.clear()
             backward(loss)
@@ -256,10 +271,12 @@ def test_nonfinite_is_an_error():
 
 
 def test_upsample2x_and_concat_and_embedding():
-    x = np.arange(4.0).reshape(1, 1, 2, 2)
-    up = upsample2x(Tensor(x))
-    assert up.shape == (1, 1, 4, 4)
-    assert np.allclose(up.data[0, 0, :2, :2], x[0, 0, 0, 0])
+    x = np.arange(8.0).reshape(1, 2, 2, 2)  # (C, H, W, B)
+    up = upsample2x(Tensor(x)).data
+    assert up.shape == (1, 4, 4, 2)
+    for i in range(4):
+        for j in range(4):
+            assert np.array_equal(up[0, i, j], x[0, i // 2, j // 2])
 
     c = concat([Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 2)))], axis=1)
     assert c.shape == (2, 3)
@@ -273,11 +290,45 @@ def test_upsample2x_and_concat_and_embedding():
 
 def test_upsample2x_backward_matches_block_sum():
     rng = RngStream(22)
-    x = Tensor(rng.normal((32, 32, 8, 8)), requires_grad=True)
-    g = rng.normal((32, 32, 16, 16))
+    x = Tensor(rng.normal((32, 8, 8, 32)), requires_grad=True)
+    g = rng.normal((32, 16, 16, 32))
     backward((upsample2x(x) * Tensor(g)).sum())
-    ref = g.reshape(32, 32, 8, 2, 8, 2).sum(axis=(3, 5))
+    ref = g.reshape(32, 8, 2, 8, 2, 32).sum(axis=(2, 4))
     assert _rel_err(x.grad, ref) <= 1e-15
+
+
+def _layout_op_case(op, rng):
+    """(forward, numpy reference of its value, inputs) of one (C, H, W, B) op with C=3, B=5."""
+    x = Tensor(rng.normal((3, 2, 4, 5)), requires_grad=True)
+    if op == "upsample2x":
+        return lambda: upsample2x(x), x.data.repeat(2, axis=1).repeat(2, axis=2), (x,)
+    if op == "add_channel_bias":
+        b = Tensor(rng.normal((5, 3)), requires_grad=True)  # (B, C)
+        return lambda: add_channel_bias(x, b), x.data + b.data.T[:, None, None, :], (x, b)
+    if op == "concat":
+        y = Tensor(rng.normal((2, 2, 4, 5)), requires_grad=True)
+        return lambda: concat([x, y], axis=0), np.concatenate([x.data, y.data]), (x, y)
+    return lambda: permute(x, CHWB_TO_NCHW), x.data.transpose(3, 0, 1, 2), (x,)
+
+
+@pytest.mark.parametrize("op", ["upsample2x", "add_channel_bias", "concat", "permute"])
+def test_layout_ops_match_numpy_and_finite_differences(op):
+    rng = RngStream(400 + len(op))
+    forward, ref, inputs = _layout_op_case(op, rng)
+    assert np.array_equal(forward().data, ref)
+    r = Tensor(rng.normal(ref.shape))
+
+    def loss():
+        return (forward() * r).sum()
+
+    backward(loss())
+    for t in inputs:
+        assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
+
+
+def test_add_channel_bias_rejects_a_channel_first_bias():
+    with pytest.raises(ShapeError):
+        add_channel_bias(Tensor(np.zeros((3, 2, 2, 5))), Tensor(np.zeros((3, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +395,8 @@ class _TwoLayerNet(Module):
         self.l1 = Linear(2 * 16, 3, rng)
 
     def __call__(self, x):
-        h = silu(self.c1(x))
-        h = h.reshape(x.shape[0], 2 * 16)
+        h = silu(self.c1(permute(x, NCHW_TO_CHWB)))
+        h = permute(h, CHWB_TO_NCHW).reshape(x.shape[0], 2 * 16)
         return self.l1(h)
 
 
