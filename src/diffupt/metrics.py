@@ -213,11 +213,7 @@ def binary_class_probs(positive_probs) -> np.ndarray:
 
 def ssim(img_a, img_b, window: int = 8, dynamic_range: float = 1.0) -> float:
     """Mean structural similarity over dense square windows of one image pair."""
-    a = np.asarray(img_a, dtype=np.float64)
-    b = np.asarray(img_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return mean_ssim(a[None], b[None], window, dynamic_range)
+    return mean_ssim(np.asarray(img_a)[None], np.asarray(img_b)[None], window, dynamic_range)
 
 
 def mean_ssim(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> float:
