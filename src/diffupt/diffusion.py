@@ -34,7 +34,6 @@ from .numcore import (
     no_grad,
     permute,
     silu,
-    upsample2x,
 )
 
 NULL_TOKEN = 2
@@ -230,7 +229,7 @@ class UNetDenoiser(DenoiserModel):
         )
         self.mid = _CondBlock(widths[depth], widths[depth], emb_dim, rng.split("mid"))
         self.up_convs = ModuleList(
-            Conv2d(widths[i + 1], widths[i], 3, rng.split(f"up{i}"), pad=1) for i in reversed(range(depth))
+            Conv2d(widths[i + 1], widths[i], 3, rng.split(f"up{i}"), pad=1, upsample=2) for i in reversed(range(depth))
         )
         self.up_blocks = ModuleList(
             _CondBlock(2 * widths[i], widths[i], emb_dim, rng.split(f"ub{i}")) for i in reversed(range(depth))
@@ -249,7 +248,7 @@ class UNetDenoiser(DenoiserModel):
             h = silu(down(h))
         h = self.mid(h, cond)
         for conv, block in zip(self.up_convs, self.up_blocks):
-            h = silu(conv(upsample2x(h)))
+            h = silu(conv(h))
             h = block(concat([h, skips.pop()], axis=0), cond)
         return permute(self.head(h), CHWB_TO_NCHW)
 

@@ -29,7 +29,6 @@ from .numcore import (
     no_grad,
     permute,
     silu,
-    upsample2x,
 )
 
 
@@ -48,8 +47,8 @@ class Autoencoder(Module):
         self.enc2 = Conv2d(bc, 2 * bc, 3, rng.split("e2"), stride=2, pad=1)
         self.enc3 = Conv2d(2 * bc, latent_channels, 3, rng.split("e3"), pad=1)
         self.dec1 = Conv2d(latent_channels, 2 * bc, 3, rng.split("d1"), pad=1)
-        self.dec2 = Conv2d(2 * bc, bc, 3, rng.split("d2"), pad=1)
-        self.out = Conv2d(bc, in_channels, 3, rng.split("out"), pad=1)
+        self.dec2 = Conv2d(2 * bc, bc, 3, rng.split("d2"), pad=1, upsample=2)
+        self.out = Conv2d(bc, in_channels, 3, rng.split("out"), pad=1, upsample=2)
         self.register_buffer("latent_shift", np.zeros(latent_channels))
         self.register_buffer("latent_scale", np.ones(latent_channels))
         self.pack_parameters()
@@ -63,8 +62,8 @@ class Autoencoder(Module):
     def decode_t(self, z: Tensor) -> Tensor:
         """NCHW latents to NCHW images."""
         h = silu(self.dec1(permute(z, NCHW_TO_CHWB)))
-        h = silu(self.dec2(upsample2x(h)))
-        return permute(self.out(upsample2x(h)), CHWB_TO_NCHW)
+        h = silu(self.dec2(h))
+        return permute(self.out(h), CHWB_TO_NCHW)
 
 
 # Rows per network pass in encode/decode. A pass's conv buffers grow with its
@@ -87,9 +86,12 @@ def encode(ae: Autoencoder, images: np.ndarray, normalized: bool = False) -> np.
     if images.shape[1:] != ae.image_shape:
         raise ShapeError(f"expected images shaped (N,{ae.image_shape}), got {images.shape}")
     z = _in_passes(ae.encode_t, images)
-    if normalized:
-        z = (z - ae.latent_shift[:, None, None]) / ae.latent_scale[:, None, None]
-    return z
+    return whiten(ae, z) if normalized else z
+
+
+def whiten(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
+    """Latents from ``encode`` with the calibrated per-channel shift and scale taken out."""
+    return (z - ae.latent_shift[:, None, None]) / ae.latent_scale[:, None, None]
 
 
 def decode(ae: Autoencoder, z: np.ndarray, normalized: bool = False) -> np.ndarray:
@@ -102,9 +104,9 @@ def decode(ae: Autoencoder, z: np.ndarray, normalized: bool = False) -> np.ndarr
     return _in_passes(ae.decode_t, z)
 
 
-def calibrate_latents(ae: Autoencoder, images: np.ndarray) -> None:
-    """Store per-channel latent moments so diffusion sees whitened latents."""
-    z = encode(ae, images)
+def calibrate_latents(ae: Autoencoder, z: np.ndarray) -> None:
+    """Store the per-channel moments of latents ``z`` (``encode`` output) so
+    diffusion sees whitened latents."""
     ae.latent_shift[...] = z.mean(axis=(0, 2, 3))
     ae.latent_scale[...] = np.maximum(z.std(axis=(0, 2, 3)), 1e-6)
 
@@ -114,6 +116,13 @@ class AeTrainConfig:
     iterations: int = 1200
     batch: int = 32
     lr: float = 2e-3
+    holdout_fraction: float = 0.1  # the last rows, kept out of training for the report
+
+
+def training_rows(n: int, cfg: AeTrainConfig) -> int:
+    """How many leading rows of an n-row set ``train_autoencoder`` trains on;
+    the rest (at least one row when n > 1) are the report's holdout."""
+    return n - max(1, int(n * cfg.holdout_fraction)) if n > 1 else n
 
 
 @dataclass
@@ -121,30 +130,35 @@ class ReconstructionReport:
     rows: list[tuple[str, float, float]]  # (split, mse, ssim)
 
 
-def reconstruction_report(ae: Autoencoder, images: np.ndarray, split: str) -> tuple[str, float, float]:
-    recon = decode(ae, encode(ae, images))
+def reconstruction_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, split: str) -> tuple[str, float, float]:
+    """(split, mse, ssim) of decoding ``z``, the latents of ``images``."""
+    recon = decode(ae, z)
     mse = float(np.mean((recon - images) ** 2))
     return (split, mse, mean_ssim(images, np.clip(recon, 0.0, 1.0)))
 
 
-def train_autoencoder(
-    ae: Autoencoder,
-    ds: LabeledDataset,
-    cfg: AeTrainConfig,
-    rng: RngStream,
-    holdout_fraction: float = 0.1,
-) -> ReconstructionReport:
-    """MSE-train in place; returns per-split reconstruction rows and
-    calibrates the latent whitening buffers on the training slice."""
+def calibrate_and_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, cfg: AeTrainConfig) -> ReconstructionReport:
+    """From ``z = encode(ae, images)`` of the set ``train_autoencoder`` trained
+    on: calibrate the latent whitening on the training rows (if it trained at
+    all) and report the reconstruction of the training and holdout rows."""
+    n = training_rows(len(images), cfg)
+    if cfg.iterations > 0:
+        calibrate_latents(ae, z[:n])
+    rows = [reconstruction_report(ae, images[:n], z[:n], "train")]
+    if n < len(images):
+        rows.append(reconstruction_report(ae, images[n:], z[n:], "holdout"))
+    return ReconstructionReport(rows)
+
+
+def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, rng: RngStream) -> None:
+    """MSE-train in place on the leading ``training_rows`` of ``ds``; then
+    ``calibrate_and_report`` sets the whitening from the set's latents."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
-    n_hold = max(1, int(len(ds) * holdout_fraction)) if len(ds) > 1 else 0
-    images = ds.images
-    train_imgs = images[: len(ds) - n_hold] if n_hold else images
-    hold_imgs = images[len(ds) - n_hold :] if n_hold else images
+    n = training_rows(len(ds), cfg)
+    train_imgs = ds.images[:n]
 
     params = ae.parameters()
-    n = train_imgs.shape[0]
     for i in range(cfg.iterations):
         idx = rng.integers((cfg.batch,), 0, n)
         batch = Tensor(train_imgs[idx])
@@ -158,12 +172,6 @@ def train_autoencoder(
             adam_step(params, cfg.lr)
         except nc.NonFiniteError as e:
             raise df.DivergenceError(f"autoencoder training diverged at iteration {i}: {e}") from e
-    if cfg.iterations > 0:
-        calibrate_latents(ae, train_imgs)
-    rows = [reconstruction_report(ae, train_imgs, "train")]
-    if n_hold:
-        rows.append(reconstruction_report(ae, hold_imgs, "holdout"))
-    return ReconstructionReport(rows)
 
 
 def latent_diffusion_sample(

@@ -18,8 +18,8 @@ from .tensor import (
     sigmoid,
     silu,
     softplus,
-    upsample2x,
 )
+from .heap import retain_freed_memory
 from .rng import RngStream
 from .optim import MissingGradError, Parameter, adam_step
 from .nn import Conv2d, Embedding, Linear, Module, ModuleList
@@ -42,8 +42,8 @@ __all__ = [
     "concat",
     "permute",
     "embedding",
-    "upsample2x",
     "add_channel_bias",
+    "retain_freed_memory",
     "RngStream",
     "Parameter",
     "MissingGradError",

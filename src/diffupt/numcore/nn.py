@@ -136,18 +136,27 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """3x3-ish convolution layer with stride/pad baked in at construction, on (C, H, W, B) feature maps."""
+    """k x k convolution layer on (C, H, W, B) feature maps, with stride, pad
+    and upsample fixed at construction (``T.conv2d`` documents them).
+    ``upsample=2`` makes it a 3x3, pad-1 conv of the nearest-2x upsample of
+    its input, computed on the input itself; arguments ``conv2d`` would
+    reject raise ``ShapeError`` here already."""
 
-    def __init__(self, cin: int, cout: int, k: int, rng: RngStream, stride: int = 1, pad: int = 0, bias: bool = True):
+    def __init__(
+        self, cin: int, cout: int, k: int, rng: RngStream, stride: int = 1, pad: int = 0, bias: bool = True, upsample: int = 1
+    ):
         super().__init__()
+        T.check_conv_args(k, k, stride, pad, upsample)
         std = math.sqrt(2.0 / (cin * k * k))
         self.w = Parameter(rng.normal((cout, cin, k, k), sd=std))
         self.b = Parameter(np.zeros(cout)) if bias else None
         self.stride = stride
         self.pad = pad
+        self.upsample = upsample
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w.tensor, None if self.b is None else self.b.tensor, stride=self.stride, pad=self.pad)
+        bias = None if self.b is None else self.b.tensor
+        return T.conv2d(x, self.w.tensor, bias, stride=self.stride, pad=self.pad, upsample=self.upsample)
 
 
 class Embedding(Module):

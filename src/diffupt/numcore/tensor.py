@@ -11,8 +11,8 @@ operand's shape without the leading batch dimension. Anything else needs
 an explicit reshape. Conditioning-style per-channel additions go through
 the dedicated ``add_channel_bias`` op.
 
-Feature maps are batch-innermost: ``conv2d``, ``upsample2x`` and
-``add_channel_bias`` take and return (C, H, W, B) tensors, and channel
+Feature maps are batch-innermost: ``conv2d`` and ``add_channel_bias``
+take and return (C, H, W, B) tensors, and channel
 concatenation is ``concat(axis=0)``. In NCHW every run that im2col copies
 or col2im scatters is only ``wout`` values long (2 to 8 at this pipeline's
 feature-map sizes); batch-innermost, each run is at least B long, the
@@ -33,10 +33,24 @@ gradient is itself a stride-1 convolution of the output gradient with the
 flipped, channel-swapped kernel (the transposed-convolution identity), so it
 is one patch matrix of the Cout-channel gradient and one GEMM, with no
 scatter-add; stride 2 keeps the scatter-add of patch columns.
+
+A decoder's 2x upsampling is folded into the 3x3 conv that follows it
+(``conv2d(..., upsample=2)``), the sub-pixel identity (Shi et al. 2016): in
+the conv of a nearest-neighbour 2x upsample, output phase (a, b), the
+pixels (2i+a, 2j+b), reads only a 2x2 window of the low-res map, so it is a
+2x2 conv of that map with the 3x3 kernel's taps summed per phase. That is
+16 multiply-adds per low-res pixel and channel pair where the conv of the
+upsampled map does 36, and the upsampled map is never built. Its two sides
+both multiply the unpadded low-res map, by the 16 phase-kernel taps: the
+patch side builds four 2x2 patch matrices (16*Cin rows), the output side
+multiplies by all taps first (16*Cout rows) and adds shifted slices of the
+product. So the narrower side is the output side exactly when Cout < Cin,
+as for every upsampling conv of this pipeline (decoder and UNet up path).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -58,7 +72,6 @@ __all__ = [
     "concat",
     "permute",
     "embedding",
-    "upsample2x",
     "add_channel_bias",
 ]
 
@@ -392,19 +405,6 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
     return _make(value, "add_channel_bias", (x, b), back)
 
 
-def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling of (C,H,W,B)."""
-    if x.ndim != 4:
-        raise ShapeError(f"upsample2x expects (C,H,W,B), got {x.shape}")
-    C, H, W, B = x.shape
-    value = np.broadcast_to(x.data[:, :, None, :, None], (C, H, 2, W, 2, B)).reshape(C, 2 * H, 2 * W, B)
-
-    def back(g):
-        return (g[:, 0::2, 0::2] + g[:, 0::2, 1::2] + g[:, 1::2, 0::2] + g[:, 1::2, 1::2],)
-
-    return _make(value, "upsample2x", (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # 2-D convolution (im2col in the (C, H, W, B) layout, see the module docstring)
 # ---------------------------------------------------------------------------
@@ -436,7 +436,20 @@ def _col2im(cols: np.ndarray, padded_shape, kh, kw, stride, hout, wout) -> np.nd
     return xg
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
+def check_conv_args(kh: int, kw: int, stride: int, pad: int, upsample: int) -> None:
+    """Raise ``ShapeError`` unless ``stride >= 1``, ``pad >= 0`` and ``upsample``
+    is 1, or 2 with a 3x3 kernel, stride 1 and pad 1."""
+    if stride < 1 or pad < 0:
+        raise ShapeError(f"conv2d needs stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
+    if upsample not in (1, 2):
+        raise ShapeError(f"conv2d upsample must be 1 or 2, got {upsample}")
+    if upsample == 2 and (kh, kw, stride, pad) != (3, 3, 1, 1):
+        raise ShapeError(f"conv2d upsample=2 needs a 3x3 kernel, stride 1 and pad 1, got {kh}x{kw}, stride {stride}, pad {pad}")
+
+
+def conv2d(
+    x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0, upsample: int = 1
+) -> Tensor:
     """2-D convolution of (Cin,H,W,B) with kernels (Cout,Cin,KH,KW) to (Cout,hout,wout,B).
 
     The work is done on whichever side of the conv is narrower (see the
@@ -452,19 +465,40 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
     ``K-1-pad`` (cropped where that is negative), with the flipped kernel
     whose in and out channels are swapped, and at stride 2 a scatter-add of
     patch columns.
+
+    ``upsample=2`` (3x3 kernel, stride 1, pad 1 only) convolves the
+    nearest-neighbour 2x upsample of ``x`` to (Cout, 2H, 2W, B) without
+    building it: output phase (a, b), the pixels (2i+a, 2j+b), is a 2x2 conv
+    of ``x`` itself with the 3x3 kernel folded per phase (taps (w0, w1+w2)
+    along an axis for phase 0, (w0+w1, w2) for phase 1), so weights enter
+    summed, which rounds differently from the conv of the upsampled map. It
+    takes the output side when ``Cout < Cin``: ``x`` times all 16
+    phase-kernel taps in one GEMM, then per phase the sum of its four taps'
+    shifted slices. Otherwise it takes the patch side: four 2x2 patch
+    matrices of ``x`` and one stacked GEMM with the phase kernels. On both
+    sides the backward pass copies each output-gradient phase to its four
+    tap offsets once; the phase-kernel gradient (unfolded onto the 3x3
+    kernel) and the input gradient are then one GEMM each. Arguments outside
+    these forms raise ``ShapeError``: ``stride < 1``, ``pad < 0``, or an
+    ``upsample`` other than 1 or 2.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
     Cin, H, W, B = x.shape
     Cout, Cin_w, KH, KW = w.shape
+    check_conv_args(KH, KW, stride, pad, upsample)
     if Cin != Cin_w:
         raise ShapeError(f"conv2d channel mismatch: input (C,H,W,B) {x.shape} vs kernel {w.shape}")
     if bias is not None and bias.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {bias.shape}")
-    hout = (H + 2 * pad - KH) // stride + 1
-    wout = (W + 2 * pad - KW) // stride + 1
+    hout = (upsample * H + 2 * pad - KH) // stride + 1
+    wout = (upsample * W + 2 * pad - KW) // stride + 1
     if hout < 1 or wout < 1:
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
+
+    if upsample == 2:
+        # both sides multiply the unpadded low-res map: 16 taps of Cout rows against 16 of Cin
+        return _upsampled_conv(x, w, bias, output_side=Cout < Cin)
 
     Hp, Wp = H + 2 * pad, W + 2 * pad
     output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
@@ -512,6 +546,86 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pa
             gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B)
         elif x.requires_grad:
             gx = _col2im(w2.T @ gf, (Cin, Hp, Wp, B), KH, KW, stride, hout, wout)[:, pad : pad + H, pad : pad + W]
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(1, 2, 3))
+
+    inputs = (x, w, bias) if bias is not None else (x, w)
+    return _make(out, "conv2d", inputs, back)
+
+
+# Row (a, t) of _FOLD sums the taps of one 3-tap kernel axis that tap t of
+# output phase a reads: (w0, w1+w2) for phase 0 and (w0+w1, w2) for phase 1.
+# Its Kronecker square folds a flattened 3x3 kernel into the four phases'
+# flattened 2x2 kernels, rows (a, t, b, s), and its transpose unfolds their
+# gradients back onto the 3x3 kernel.
+_FOLD = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_FOLD_2D = np.kron(_FOLD, _FOLD)
+# (phase, tap, offset into the low-res map) along one axis
+_AXIS_TAPS = ((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+
+def _shift(n: int, d: int) -> tuple[slice, slice]:
+    """(dst, src) slices of an n-long axis with dst[k] = src[k + d] wherever both exist."""
+    return slice(max(-d, 0), n - max(d, 0)), slice(max(d, 0), n + min(d, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_taps(H: int, W: int, sign: int) -> tuple:
+    """(a, b, t, s, dst, src) for the 16 taps of the four phase kernels on an
+    H x W map: (C, H, W, B) index tuples with dst[i, j] = src[i + sign*dh, j + sign*dw]
+    where (dh, dw) is the tap's offset into the low-res map."""
+    rows = []
+    for a, t, dh in _AXIS_TAPS:
+        hd, hs = _shift(H, sign * dh)
+        for b, s, dw in _AXIS_TAPS:
+            wd, ws = _shift(W, sign * dw)
+            rows.append((a, b, t, s, (slice(None), hd, wd), (slice(None), hs, ws)))
+    return tuple(rows)
+
+
+def _fold_kernel(w: np.ndarray) -> np.ndarray:
+    """The four phase kernels of a (Cout, Cin, 3, 3) kernel, indexed (o, i, a, t, b, s)."""
+    Cout, Cin = w.shape[:2]
+    return (w.reshape(Cout * Cin, 9) @ _FOLD_2D.T).reshape(Cout, Cin, 2, 2, 2, 2)
+
+
+def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, output_side: bool) -> Tensor:
+    """``conv2d(x, w, bias, pad=1, upsample=2)`` on the side given, computed per output phase on x."""
+    Cin, H, W, B = x.shape
+    Cout = w.shape[0]
+    x2 = x.data.reshape(Cin, H * W * B)
+    folded = _fold_kernel(w.data)
+    # every phase kernel's taps, rows (a, b, t, s, o): the output side's forward GEMM and the input gradient's
+    taps = folded.transpose(2, 4, 3, 5, 0, 1).reshape(16 * Cout, Cin)
+    if output_side:
+        y = (taps @ x2).reshape(2, 2, 2, 2, Cout, H, W, B)
+        out = np.zeros((Cout, H, 2, W, 2, B), dtype=np.float64)
+        for a, b, t, s, dst, src in _phase_taps(H, W, 1):
+            out[:, dst[1], a, dst[2], b] += y[a, b, t, s][src]
+        del y
+    else:
+        cols = np.zeros((2, 2, Cin, 2, 2, H, W, B), dtype=np.float64)
+        for a, b, t, s, dst, src in _phase_taps(H, W, 1):
+            cols[a, b, :, t, s][dst] = x.data[src]
+        kernels = folded.transpose(2, 4, 0, 1, 3, 5).reshape(4, Cout, 4 * Cin)
+        phases = (kernels @ cols.reshape(4, 4 * Cin, H * W * B)).reshape(2, 2, Cout, H, W, B)
+        del cols
+        out = phases.transpose(2, 3, 0, 4, 1, 5)
+    out = out.reshape(Cout, 2 * H, 2 * W, B)
+    if bias is not None:
+        out += bias.data[:, None, None, None]
+
+    def back(g):
+        # each tap's copy of its phase of g, moved by minus the tap's offset
+        g6 = g.reshape(Cout, H, 2, W, 2, B)
+        shifted = np.zeros((2, 2, 2, 2, Cout, H, W, B), dtype=np.float64)
+        for a, b, t, s, dst, src in _phase_taps(H, W, -1):
+            shifted[a, b, t, s][dst] = g6[:, src[1], a, src[2], b]
+        shifted = shifted.reshape(16 * Cout, H * W * B)
+        gtaps = (shifted @ x2.T).reshape(2, 2, 2, 2, Cout, Cin).transpose(4, 5, 0, 2, 1, 3)
+        gw = (gtaps.reshape(Cout * Cin, 16) @ _FOLD_2D).reshape(w.shape)
+        gx = (taps.T @ shifted).reshape(Cin, H, W, B) if x.requires_grad else None
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(1, 2, 3))

@@ -60,8 +60,17 @@ from .diffusion import (
     sample,
     train_diffusion,
 )
-from .latentae import AeTrainConfig, Autoencoder, encode, latent_diffusion_sample, train_autoencoder
-from .numcore import RngStream
+from .latentae import (
+    AeTrainConfig,
+    Autoencoder,
+    ReconstructionReport,
+    calibrate_and_report,
+    encode,
+    latent_diffusion_sample,
+    train_autoencoder,
+    whiten,
+)
+from .numcore import RngStream, retain_freed_memory
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -263,6 +272,7 @@ class GenerativeStack:
     ae: Autoencoder | None
     denoiser: DenoiserModel
     sched: NoiseSchedule
+    ae_report: ReconstructionReport | None = None
 
     @property
     def image_shape(self) -> tuple[int, ...]:
@@ -276,13 +286,16 @@ class GenerativeStack:
 
 def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngStream) -> GenerativeStack:
     """Autoencoder, latent calibration, then conditional latent denoiser."""
+    retain_freed_memory()
     ae = Autoencoder(cfg.image_size, train_ds.images.shape[1], cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
     train_autoencoder(ae, train_ds, cfg.ae, rng.split("ae-train"))
-    latents = encode(ae, train_ds.images, normalized=True)
+    # one encode of every row serves the calibration, the report and the denoiser's latents
+    z = encode(ae, train_ds.images)
+    ae_report = calibrate_and_report(ae, train_ds.images, z, cfg.ae)
     sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
-    train_diffusion(denoiser, latents, train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
-    return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched)
+    train_diffusion(denoiser, whiten(ae, z), train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
+    return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched, ae_report=ae_report)
 
 
 @dataclass

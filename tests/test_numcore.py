@@ -1,10 +1,17 @@
 """Tensor engine tests: op oracles, gradient checks, optimizer, RNG, weights."""
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffupt
 from diffupt.numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
@@ -33,7 +40,6 @@ from diffupt.numcore import (
     sigmoid,
     silu,
     softplus,
-    upsample2x,
 )
 from diffupt.numcore import tensor as tops
 
@@ -48,23 +54,24 @@ def to_nchw(a):
 
 
 def conv2d_bruteforce(x, w, stride=1, pad=0):
-    """Independent sliding-window convolution oracle (nested loops)."""
+    """Independent sliding-window convolution oracle (nested loops). Each
+    step is one vector over the batch, so every output value is summed in
+    loop order, one product at a time."""
     B, Cin, H, W = x.shape
     Cout, _, KH, KW = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     hout = (H + 2 * pad - KH) // stride + 1
     wout = (W + 2 * pad - KW) // stride + 1
     out = np.zeros((B, Cout, hout, wout))
-    for b in range(B):
-        for co in range(Cout):
-            for i in range(hout):
-                for j in range(wout):
-                    acc = 0.0
-                    for ci in range(Cin):
-                        for ki in range(KH):
-                            for kj in range(KW):
-                                acc += xp[b, ci, i * stride + ki, j * stride + kj] * w[co, ci, ki, kj]
-                    out[b, co, i, j] = acc
+    for co in range(Cout):
+        for i in range(hout):
+            for j in range(wout):
+                acc = np.zeros(B)
+                for ci in range(Cin):
+                    for ki in range(KH):
+                        for kj in range(KW):
+                            acc += xp[:, ci, i * stride + ki, j * stride + kj] * w[co, ci, ki, kj]
+                out[:, co, i, j] = acc
     return out
 
 
@@ -222,22 +229,128 @@ def test_conv2d_gradients_match_finite_differences(stride, cin, cout, pad, with_
         assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
 
 
+class _CountingArray(np.ndarray):
+    """An array that counts the matrix products it is an operand of."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingArray.products += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
 def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
     # during backward, _im2col (stride 1) or _col2im (stride 2) runs only for the input gradient
     calls = []
     for name in ("_im2col", "_col2im"):
         fn = getattr(tops, name)
         monkeypatch.setattr(tops, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+    # an upsampling conv's backward multiplies by its folded kernel only for the input gradient
+    fold = tops._fold_kernel
+    monkeypatch.setattr(tops, "_fold_kernel", lambda w: fold(w).view(_CountingArray))
     rng = RngStream(21)
-    w = Tensor(rng.normal((4, 2, 3, 3)), requires_grad=True)
-    for stride in (1, 2):
+    for cout, stride, upsample in [(4, 1, 1), (4, 2, 1), (4, 1, 2), (1, 1, 2)]:  # 2->1 channels upsamples on the output side
+        w = Tensor(rng.normal((cout, 2, 3, 3)), requires_grad=True)
         for needs_grad in (False, True):
             x = Tensor(to_chwb(rng.normal((3, 2, 5, 5))), requires_grad=needs_grad)
-            loss = conv2d(x, w, stride=stride, pad=1).sum()
+            loss = conv2d(x, w, stride=stride, pad=1, upsample=upsample).sum()
             calls.clear()
+            _CountingArray.products = 0
             backward(loss)
             assert w.grad is not None and (x.grad is not None) == needs_grad
-            assert len(calls) == needs_grad
+            assert len(calls) == (needs_grad and upsample == 1)
+            assert _CountingArray.products == (needs_grad and upsample == 2)
+
+
+# (input, kernel) of the upsampling convs the pipeline runs, at its batch sizes:
+# autoencoder dec2 and out at B=32 and B=64, the UNet up conv at B=32 and B=250
+PIPELINE_UPSAMPLING_SHAPES = [
+    pytest.param((32, 32, 4, 4), (16, 32, 3, 3), id="dec2-B32"),
+    pytest.param((64, 32, 4, 4), (16, 32, 3, 3), id="dec2-B64"),
+    pytest.param((32, 16, 8, 8), (1, 16, 3, 3), id="out-B32"),
+    pytest.param((64, 16, 8, 8), (1, 16, 3, 3), id="out-B64"),
+    pytest.param((32, 32, 2, 2), (16, 32, 3, 3), id="up-B32"),
+    pytest.param((250, 32, 2, 2), (16, 32, 3, 3), id="up-B250"),
+]
+
+
+def _upsampling_on_side(monkeypatch, side):
+    """Make conv2d's upsampling convs take ``side`` (True: the output side), or
+    the side its rule picks for None; returns the list of sides taken."""
+    taken, fn = [], tops._upsampled_conv
+
+    def forced(x, w, bias, output_side):
+        taken.append(output_side if side is None else side)
+        return fn(x, w, bias, taken[-1])
+
+    monkeypatch.setattr(tops, "_upsampled_conv", forced)
+    return taken
+
+
+@pytest.mark.parametrize("xshape,wshape", PIPELINE_UPSAMPLING_SHAPES)
+def test_upsampling_conv_matches_repeat_then_conv(monkeypatch, xshape, wshape):
+    rng = RngStream(sum(xshape) + sum(wshape))
+    x_chwb = rng.normal(xshape[1:] + xshape[:1])
+    w_data, b_data = rng.normal(wshape), rng.normal((wshape[0],))
+    up = to_nchw(x_chwb.repeat(2, 1).repeat(2, 2))
+    ref_out = conv2d_bruteforce(up, w_data, pad=1) + b_data[None, :, None, None]
+    g = rng.normal(ref_out.shape)
+    # gradients: those of the full-resolution conv, the input's summed over each 2x2 block
+    _, ref_gup, ref_gw, ref_gb = conv2d_einsum_reference(up, w_data, b_data, g, 1, 1)
+    B, C, H, W = xshape
+    ref_gx = ref_gup.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5))
+    for side in (False, True):
+        _upsampling_on_side(monkeypatch, side)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x_chwb, w_data, b_data))
+        out = conv2d(x, w, b, pad=1, upsample=2)
+        backward((out * Tensor(to_chwb(g))).sum())
+        for ours, ref in zip((to_nchw(out.data), to_nchw(x.grad), w.grad, b.grad), (ref_out, ref_gx, ref_gw, ref_gb)):
+            assert ours.shape == ref.shape
+            assert _rel_err(ours, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("cin,cout", [pytest.param(2, 3, id="patch_side"), pytest.param(4, 1, id="out_side")])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_upsampling_conv_gradients_match_finite_differences(monkeypatch, cin, cout, with_bias):
+    taken = _upsampling_on_side(monkeypatch, None)
+    H, W = 3, 2  # a non-square map; B=5 equals no channel count or extent
+    rng = RngStream(500 + 8 * cin + with_bias)
+    x = Tensor(rng.normal((cin, H, W, 5)), requires_grad=True)
+    w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
+    r = Tensor(rng.normal((cout, 2 * H, 2 * W, 5)))
+
+    def loss():
+        return (conv2d(x, w, b, pad=1, upsample=2) * r).sum()
+
+    backward(loss())
+    for t in (x, w) + ((b,) if with_bias else ()):
+        assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
+    assert set(taken) == {cout == 1}  # the side rule took the side named
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param({"stride": 0}, id="stride0"),
+        pytest.param({"stride": -1}, id="stride-neg"),
+        pytest.param({"pad": -1}, id="pad-neg"),
+        pytest.param({"pad": 1, "upsample": 3}, id="upsample3"),
+        pytest.param({"pad": 1, "upsample": 0}, id="upsample0"),
+        pytest.param({"pad": 0, "upsample": 2}, id="upsample-pad0"),
+        pytest.param({"pad": 1, "stride": 2, "upsample": 2}, id="upsample-stride2"),
+        pytest.param({"pad": 1, "upsample": 2, "k": 5}, id="upsample-5x5"),
+    ],
+)
+def test_bad_conv_arguments_raise_shape_error(kwargs):
+    kwargs = dict(kwargs)
+    k = kwargs.pop("k", 3)
+    x, w = Tensor(np.zeros((2, 6, 6, 3))), Tensor(np.zeros((4, 2, k, k)))
+    with pytest.raises(ShapeError):
+        conv2d(x, w, **kwargs)
+    with pytest.raises(ShapeError):
+        Conv2d(2, 4, k, RngStream(0), **kwargs)
 
 
 def test_elementwise_broadcast_rules():
@@ -270,14 +383,7 @@ def test_nonfinite_is_an_error():
         big * 1e308
 
 
-def test_upsample2x_and_concat_and_embedding():
-    x = np.arange(8.0).reshape(1, 2, 2, 2)  # (C, H, W, B)
-    up = upsample2x(Tensor(x)).data
-    assert up.shape == (1, 4, 4, 2)
-    for i in range(4):
-        for j in range(4):
-            assert np.array_equal(up[0, i, j], x[0, i // 2, j // 2])
-
+def test_concat_and_embedding():
     c = concat([Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 2)))], axis=1)
     assert c.shape == (2, 3)
 
@@ -288,20 +394,9 @@ def test_upsample2x_and_concat_and_embedding():
         embedding(table, np.array([3]))
 
 
-def test_upsample2x_backward_matches_block_sum():
-    rng = RngStream(22)
-    x = Tensor(rng.normal((32, 8, 8, 32)), requires_grad=True)
-    g = rng.normal((32, 16, 16, 32))
-    backward((upsample2x(x) * Tensor(g)).sum())
-    ref = g.reshape(32, 8, 2, 8, 2, 32).sum(axis=(2, 4))
-    assert _rel_err(x.grad, ref) <= 1e-15
-
-
 def _layout_op_case(op, rng):
     """(forward, numpy reference of its value, inputs) of one (C, H, W, B) op with C=3, B=5."""
     x = Tensor(rng.normal((3, 2, 4, 5)), requires_grad=True)
-    if op == "upsample2x":
-        return lambda: upsample2x(x), x.data.repeat(2, axis=1).repeat(2, axis=2), (x,)
     if op == "add_channel_bias":
         b = Tensor(rng.normal((5, 3)), requires_grad=True)  # (B, C)
         return lambda: add_channel_bias(x, b), x.data + b.data.T[:, None, None, :], (x, b)
@@ -311,7 +406,7 @@ def _layout_op_case(op, rng):
     return lambda: permute(x, CHWB_TO_NCHW), x.data.transpose(3, 0, 1, 2), (x,)
 
 
-@pytest.mark.parametrize("op", ["upsample2x", "add_channel_bias", "concat", "permute"])
+@pytest.mark.parametrize("op", ["add_channel_bias", "concat", "permute"])
 def test_layout_ops_match_numpy_and_finite_differences(op):
     rng = RngStream(400 + len(op))
     forward, ref, inputs = _layout_op_case(op, rng)
@@ -445,16 +540,17 @@ def test_mixed_op_gradient_check():
     rng = RngStream(42)
     table = Tensor(rng.normal((3, 4)), requires_grad=True)
     x = Tensor(rng.normal((2, 1, 2, 2)), requires_grad=True)
+    k = Tensor(rng.normal((2, 2, 3, 3)), requires_grad=True)
     idx = np.array([0, 2])
 
     def forward():
         e = embedding(table, idx)
-        up = upsample2x(x).reshape(2, 16)
+        up = conv2d(x, k, pad=1, upsample=2).reshape(2, 16)
         joined = concat([up, e], axis=1)
         return (joined * joined).mean()
 
     backward(forward())
-    for t in (table, x):
+    for t in (table, x, k):
         assert np.allclose(t.grad, central_difference(forward, t), rtol=1e-5, atol=1e-8)
 
 
@@ -607,3 +703,47 @@ def test_load_state_corrupt_byte_raises_only_serialization_error(tmp_path_factor
         load_state(path)  # a flipped float64 payload byte still parses
     except SerializationError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# heap
+# ---------------------------------------------------------------------------
+
+_STEP_FAULTS = """
+import resource, sys
+import numpy as np
+from diffupt.numcore import retain_freed_memory
+
+if sys.argv[1] == "retain":
+    retain_freed_memory()
+
+
+def step():  # ten 720 KB temporaries, freed together at its end, as in a training step
+    buffers = [np.ones(90_000) for _ in range(10)]
+
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _has_mallopt()), reason="glibc malloc only")
+def test_retained_memory_is_reused_without_page_faults():
+    def faults(mode):
+        # a fresh process, so only this step has moved glibc's thresholds
+        env = {**os.environ, "PYTHONPATH": str(Path(diffupt.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", _STEP_FAULTS, mode], env=env, capture_output=True, text=True, check=True, timeout=60)
+        return int(out.stdout)
+
+    assert faults("default") > 1000  # glibc hands each step's buffers back and faults them in again
+    assert faults("retain") < 100

@@ -10,10 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diffupt import latentae as L
 from diffupt import pipeline as P
 from diffupt.classifier import TrainRegime
 from diffupt.data import SynthFundusConfig, generate_synth_fundus, stratified_split
-from diffupt.diffusion import DiffusionTrainConfig, DivergenceError, SampleMethod
+from diffupt.diffusion import DiffusionTrainConfig, DivergenceError, SampleMethod, UNetDenoiser, linear_schedule, train_diffusion
 from diffupt.latentae import AeTrainConfig
 from diffupt.numcore import RngStream
 
@@ -175,6 +176,34 @@ def test_shared_models_do_not_depend_on_row_order():
     alone = P.run_comparison(_tiny_splits(3), ["diffupt"], RngStream(3), ctx=_tiny_context())
     after = P.run_comparison(_tiny_splits(3), ["gen_augment(4)", "diffupt"], RngStream(3), ctx=_tiny_context())
     assert repr(alone[0]) == repr(after[1])
+
+
+def test_stack_encodes_each_training_image_once(monkeypatch):
+    # 126 training and 14 holdout rows: separate encodes cut 64-row passes elsewhere than one encode of all 140
+    ds = generate_synth_fundus(SynthFundusConfig(seed=3), 100, 40)
+    cfg = P.StackConfig(ae=AeTrainConfig(iterations=3), diffusion=DiffusionTrainConfig(iterations=2))
+    calls, encode = [], L.encode
+    counted = lambda ae, images, **kw: calls.append(len(images)) or encode(ae, images, **kw)  # noqa: E731
+    for module in (P, L):
+        monkeypatch.setattr(module, "encode", counted)
+    stack = P.train_generative_stack(ds, cfg, RngStream(5))
+    assert calls == [len(ds)]
+
+    # the same stack from separate encodes: the calibration's, each report row's and the denoiser's
+    rng = RngStream(5)
+    ae = L.Autoencoder(cfg.image_size, 1, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
+    L.train_autoencoder(ae, ds, cfg.ae, rng.split("ae-train"))
+    n = L.training_rows(len(ds), cfg.ae)
+    assert n == 126
+    L.calibrate_latents(ae, encode(ae, ds.images[:n]))
+    rows = [L.reconstruction_report(ae, part, encode(ae, part), split) for part, split in ((ds.images[:n], "train"), (ds.images[n:], "holdout"))]
+    sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
+    denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
+    latents = encode(ae, ds.images, normalized=True)
+    train_diffusion(denoiser, latents, ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
+    assert stack.ae.weight_bytes() == ae.weight_bytes()  # the latent shift and scale buffers included
+    assert repr(stack.ae_report.rows) == repr(rows)
+    assert stack.denoiser.weight_bytes() == denoiser.weight_bytes()
 
 
 def test_shortfall_error_survives_pickling():
