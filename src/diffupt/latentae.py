@@ -116,13 +116,16 @@ class AeTrainConfig:
     iterations: int = 1200
     batch: int = 32
     lr: float = 2e-3
-    holdout_fraction: float = 0.1  # the last rows, kept out of training for the report
 
 
-def training_rows(n: int, cfg: AeTrainConfig) -> int:
+# the share of a set's last rows kept out of autoencoder training for the report
+_HOLDOUT_FRACTION = 0.1
+
+
+def training_rows(n: int) -> int:
     """How many leading rows of an n-row set ``train_autoencoder`` trains on;
     the rest (at least one row when n > 1) are the report's holdout."""
-    return n - max(1, int(n * cfg.holdout_fraction)) if n > 1 else n
+    return n - max(1, int(n * _HOLDOUT_FRACTION)) if n > 1 else n
 
 
 @dataclass
@@ -137,12 +140,12 @@ def reconstruction_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, sp
     return (split, mse, mean_ssim(images, np.clip(recon, 0.0, 1.0)))
 
 
-def calibrate_and_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, cfg: AeTrainConfig) -> ReconstructionReport:
+def calibrate_and_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, trained: bool) -> ReconstructionReport:
     """From ``z = encode(ae, images)`` of the set ``train_autoencoder`` trained
-    on: calibrate the latent whitening on the training rows (if it trained at
-    all) and report the reconstruction of the training and holdout rows."""
-    n = training_rows(len(images), cfg)
-    if cfg.iterations > 0:
+    on: calibrate the latent whitening on the training rows (if ``trained``)
+    and report the reconstruction of the training and holdout rows."""
+    n = training_rows(len(images))
+    if trained:
         calibrate_latents(ae, z[:n])
     rows = [reconstruction_report(ae, images[:n], z[:n], "train")]
     if n < len(images):
@@ -155,7 +158,7 @@ def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, r
     ``calibrate_and_report`` sets the whitening from the set's latents."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
-    n = training_rows(len(ds), cfg)
+    n = training_rows(len(ds))
     train_imgs = ds.images[:n]
 
     params = ae.parameters()

@@ -8,6 +8,8 @@ behave depends on what the process ran before: after an autoencoder whose
 largest block is about 2 MB, each UNet training step hands its ~6 MB back to
 the OS when it frees it and page-faults it back in on the next step (about
 1,400 faults a step, 40% of the step's time at this pipeline's sizes).
+Importing ``diffupt`` calls ``retain_freed_memory`` once, so the policy is
+the process's and does not depend on which stage ran first.
 """
 
 from __future__ import annotations

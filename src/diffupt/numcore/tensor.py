@@ -40,12 +40,12 @@ the conv of a nearest-neighbour 2x upsample, output phase (a, b), the
 pixels (2i+a, 2j+b), reads only a 2x2 window of the low-res map, so it is a
 2x2 conv of that map with the 3x3 kernel's taps summed per phase. That is
 16 multiply-adds per low-res pixel and channel pair where the conv of the
-upsampled map does 36, and the upsampled map is never built. Its two sides
-both multiply the unpadded low-res map, by the 16 phase-kernel taps: the
-patch side builds four 2x2 patch matrices (16*Cin rows), the output side
-multiplies by all taps first (16*Cout rows) and adds shifted slices of the
-product. So the narrower side is the output side exactly when Cout < Cin,
-as for every upsampling conv of this pipeline (decoder and UNet up path).
+upsampled map does 36, and the upsampled map is never built. It always
+takes the output side: the unpadded low-res map times all 16 phase-kernel
+taps (16*Cout product rows), then shifted slices of the product summed per
+phase. A patch side would build 16*Cin patch rows, wider whenever
+Cout < Cin, as for every upsampling conv of this pipeline (decoder and UNet
+up path).
 """
 
 from __future__ import annotations
@@ -472,15 +472,13 @@ def conv2d(
     of ``x`` itself with the 3x3 kernel folded per phase (taps (w0, w1+w2)
     along an axis for phase 0, (w0+w1, w2) for phase 1), so weights enter
     summed, which rounds differently from the conv of the upsampled map. It
-    takes the output side when ``Cout < Cin``: ``x`` times all 16
-    phase-kernel taps in one GEMM, then per phase the sum of its four taps'
-    shifted slices. Otherwise it takes the patch side: four 2x2 patch
-    matrices of ``x`` and one stacked GEMM with the phase kernels. On both
-    sides the backward pass copies each output-gradient phase to its four
-    tap offsets once; the phase-kernel gradient (unfolded onto the 3x3
-    kernel) and the input gradient are then one GEMM each. Arguments outside
-    these forms raise ``ShapeError``: ``stride < 1``, ``pad < 0``, or an
-    ``upsample`` other than 1 or 2.
+    takes the output side: ``x`` times all 16 phase-kernel taps in one GEMM,
+    then per phase the sum of its four taps' shifted slices. The backward
+    pass copies each output-gradient phase to its four tap offsets once; the
+    phase-kernel gradient (unfolded onto the 3x3 kernel) and the input
+    gradient are then one GEMM each. Arguments outside these forms raise
+    ``ShapeError``: ``stride < 1``, ``pad < 0``, or an ``upsample`` other
+    than 1 or 2.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -497,8 +495,7 @@ def conv2d(
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
 
     if upsample == 2:
-        # both sides multiply the unpadded low-res map: 16 taps of Cout rows against 16 of Cin
-        return _upsampled_conv(x, w, bias, output_side=Cout < Cin)
+        return _upsampled_conv(x, w, bias)
 
     Hp, Wp = H + 2 * pad, W + 2 * pad
     output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
@@ -590,28 +587,18 @@ def _fold_kernel(w: np.ndarray) -> np.ndarray:
     return (w.reshape(Cout * Cin, 9) @ _FOLD_2D.T).reshape(Cout, Cin, 2, 2, 2, 2)
 
 
-def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, output_side: bool) -> Tensor:
-    """``conv2d(x, w, bias, pad=1, upsample=2)`` on the side given, computed per output phase on x."""
+def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
+    """``conv2d(x, w, bias, pad=1, upsample=2)``, computed per output phase on x."""
     Cin, H, W, B = x.shape
     Cout = w.shape[0]
     x2 = x.data.reshape(Cin, H * W * B)
-    folded = _fold_kernel(w.data)
-    # every phase kernel's taps, rows (a, b, t, s, o): the output side's forward GEMM and the input gradient's
-    taps = folded.transpose(2, 4, 3, 5, 0, 1).reshape(16 * Cout, Cin)
-    if output_side:
-        y = (taps @ x2).reshape(2, 2, 2, 2, Cout, H, W, B)
-        out = np.zeros((Cout, H, 2, W, 2, B), dtype=np.float64)
-        for a, b, t, s, dst, src in _phase_taps(H, W, 1):
-            out[:, dst[1], a, dst[2], b] += y[a, b, t, s][src]
-        del y
-    else:
-        cols = np.zeros((2, 2, Cin, 2, 2, H, W, B), dtype=np.float64)
-        for a, b, t, s, dst, src in _phase_taps(H, W, 1):
-            cols[a, b, :, t, s][dst] = x.data[src]
-        kernels = folded.transpose(2, 4, 0, 1, 3, 5).reshape(4, Cout, 4 * Cin)
-        phases = (kernels @ cols.reshape(4, 4 * Cin, H * W * B)).reshape(2, 2, Cout, H, W, B)
-        del cols
-        out = phases.transpose(2, 3, 0, 4, 1, 5)
+    # every phase kernel's taps, rows (a, b, t, s, o): the forward GEMM's and the input gradient's
+    taps = _fold_kernel(w.data).transpose(2, 4, 3, 5, 0, 1).reshape(16 * Cout, Cin)
+    y = (taps @ x2).reshape(2, 2, 2, 2, Cout, H, W, B)
+    out = np.zeros((Cout, H, 2, W, 2, B), dtype=np.float64)
+    for a, b, t, s, dst, src in _phase_taps(H, W, 1):
+        out[:, dst[1], a, dst[2], b] += y[a, b, t, s][src]
+    del y
     out = out.reshape(Cout, 2 * H, 2 * W, B)
     if bias is not None:
         out += bias.data[:, None, None, None]

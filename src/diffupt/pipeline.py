@@ -70,7 +70,7 @@ from .latentae import (
     train_autoencoder,
     whiten,
 )
-from .numcore import RngStream, retain_freed_memory
+from .numcore import RngStream
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -286,12 +286,11 @@ class GenerativeStack:
 
 def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngStream) -> GenerativeStack:
     """Autoencoder, latent calibration, then conditional latent denoiser."""
-    retain_freed_memory()
     ae = Autoencoder(cfg.image_size, train_ds.images.shape[1], cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
     train_autoencoder(ae, train_ds, cfg.ae, rng.split("ae-train"))
     # one encode of every row serves the calibration, the report and the denoiser's latents
     z = encode(ae, train_ds.images)
-    ae_report = calibrate_and_report(ae, train_ds.images, z, cfg.ae)
+    ae_report = calibrate_and_report(ae, train_ds.images, z, trained=cfg.ae.iterations > 0)
     sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
     train_diffusion(denoiser, whiten(ae, z), train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))

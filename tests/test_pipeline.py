@@ -193,7 +193,7 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
     rng = RngStream(5)
     ae = L.Autoencoder(cfg.image_size, 1, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
     L.train_autoencoder(ae, ds, cfg.ae, rng.split("ae-train"))
-    n = L.training_rows(len(ds), cfg.ae)
+    n = L.training_rows(len(ds))
     assert n == 126
     L.calibrate_latents(ae, encode(ae, ds.images[:n]))
     rows = [L.reconstruction_report(ae, part, encode(ae, part), split) for part, split in ((ds.images[:n], "train"), (ds.images[n:], "holdout"))]
