@@ -2,7 +2,7 @@
 
 One small convolutional feature extractor (global-average-pooled to a
 fixed-width vector) with a single-logit head covers every regime: plain
-or class-weighted cross-entropy, uniform or class-weighted sampling, and
+or class-weighted cross-entropy, uniform or class-balanced sampling, and
 two-stage decoupled retraining where the features are frozen and only the
 head is retrained under a balanced sampler.
 """
@@ -10,13 +10,13 @@ head is retrained under a balanced sampler.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics as M
 from . import numcore as nc
-from .data import IndexSampler, LabeledDataset, SamplerSpec, class_weights
+from .data import IndexSampler, LabeledDataset, class_weights
 from .diffusion import DivergenceError
 from .numcore import (
     NCHW_TO_CHWB,
@@ -35,32 +35,28 @@ from .numcore import (
 
 
 class ClassifierModel(Module):
-    """Conv (or MLP) feature extractor plus a one-logit sigmoid head."""
+    """Conv feature extractor over (C, H, W) images plus a one-logit sigmoid head."""
 
     def __init__(
         self,
-        input_shape: tuple[int, ...],
+        input_shape: tuple[int, int, int],
         rng: RngStream,
         conv_channels: tuple[int, ...] = (8, 16),
         feature_dim: int = 16,
     ):
         super().__init__()
         self.input_shape = tuple(input_shape)
-        self.conv_mode = len(self.input_shape) == 3 and len(conv_channels) > 0
+        if len(self.input_shape) != 3:
+            raise nc.ShapeError(f"input shape must be (C, H, W), got {self.input_shape}")
         self.feature_dim = feature_dim
         self.trained = False
         r = rng.split("features")
-        if self.conv_mode:
-            c_in = self.input_shape[0]
-            self.convs = nc.ModuleList()
-            for i, c_out in enumerate(conv_channels):
-                self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1))
-                c_in = c_out
-            self.mix = Conv2d(c_in, feature_dim, 3, r.split("mix"), pad=1)
-        else:
-            dim = int(np.prod(self.input_shape))
-            self.fc1 = Linear(dim, feature_dim, r.split("fc1"))
-            self.fc2 = Linear(feature_dim, feature_dim, r.split("fc2"))
+        c_in = self.input_shape[0]
+        self.convs = nc.ModuleList()
+        for i, c_out in enumerate(conv_channels):
+            self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1))
+            c_in = c_out
+        self.mix = Conv2d(c_in, feature_dim, 3, r.split("mix"), pad=1)
         self.head = Linear(feature_dim, 1, rng.split("head"))
         self.pack_parameters()
 
@@ -69,16 +65,12 @@ class ClassifierModel(Module):
 
     def features_t(self, x: Tensor) -> Tensor:
         """(B, F) features of an NCHW batch; the convs run on (C, H, W, B) maps."""
-        b = x.shape[0]
-        if self.conv_mode:
-            h = permute(x, NCHW_TO_CHWB)
-            for conv in self.convs:
-                h = silu(conv(h))
-            h = silu(self.mix(h))
-            h = h.reshape(self.feature_dim, -1, b).mean(axis=1)
-            return permute(h, (1, 0))
-        h = silu(self.fc1(x.reshape(b, -1)))
-        return silu(self.fc2(h))
+        h = permute(x, NCHW_TO_CHWB)
+        for conv in self.convs:
+            h = silu(conv(h))
+        h = silu(self.mix(h))
+        h = h.reshape(self.feature_dim, -1, x.shape[0]).mean(axis=1)
+        return permute(h, (1, 0))
 
     def logits_t(self, x: Tensor) -> Tensor:
         return self.head(self.features_t(x)).reshape(-1)
@@ -114,19 +106,25 @@ def bce_loss(logits: Tensor, labels: np.ndarray, weights: tuple[float, float] | 
 
 @dataclass
 class TrainRegime:
-    loss: str = "bce"  # bce | weighted_bce
-    class_weights: tuple[float, float] | None = None  # None => inverse frequency
-    sampler: SamplerSpec = field(default_factory=SamplerSpec)
+    """How a classifier trains. ``weighted_loss`` weighs each row's BCE by its
+    class's ``class_weights`` (inverse frequency in the training set), and
+    ``balanced_sampler`` draws batches with those weights, so both classes
+    come up equally often."""
+
+    weighted_loss: bool = False
+    balanced_sampler: bool = False
     lr: float = 1e-3
     iterations: int = 1500
     batch: int = 32
     eval_every: int = 100
 
     def __post_init__(self):
-        if self.loss not in ("bce", "weighted_bce"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.loss == "weighted_bce" and self.class_weights is not None and min(self.class_weights) <= 0:
-            raise ValueError("class weights must be positive")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass
@@ -137,12 +135,6 @@ class HistoryRow:
     val_spec: float
     val_hm: float
     val_auc: float
-
-
-def _resolved_weights(regime: TrainRegime, ds: LabeledDataset) -> tuple[float, float] | None:
-    if regime.loss != "weighted_bce":
-        return None
-    return regime.class_weights if regime.class_weights is not None else class_weights(ds)
 
 
 def train_classifier(
@@ -156,8 +148,8 @@ def train_classifier(
     """Train in place; keeps the best-validation-harmonic-mean checkpoint."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
-    weights = _resolved_weights(regime, ds)
-    sampler = IndexSampler(regime.sampler, ds, rng.split("sampler"))
+    weights = class_weights(ds) if regime.weighted_loss else None
+    sampler = IndexSampler(ds, rng.split("sampler"), regime.balanced_sampler)
     params = model.parameters() if params is None else params
 
     values = model.parameter_buffer[0]
@@ -215,13 +207,7 @@ def multi_stage_retrain(
     if not model.trained:
         warnings.warn("multi_stage_retrain called on an untrained model; proceeding")
     model.reinit_head(rng.split("head-reinit"))
-    regime = TrainRegime(
-        loss="bce",
-        sampler=SamplerSpec("class_weighted"),
-        lr=lr,
-        iterations=iterations,
-        batch=batch,
-    )
+    regime = TrainRegime(balanced_sampler=True, lr=lr, iterations=iterations, batch=batch)
     features = model.feature_parameters()
     for p in features:
         p.tensor.requires_grad = False

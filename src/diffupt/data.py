@@ -37,14 +37,18 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValueError("labels must be 0 or 1")
+        self.labels = np.asarray(labels, dtype=np.int8)
         self.provenance = np.asarray(self.provenance, dtype=np.int8)
         if self.images.ndim != 4:
             raise ValueError(f"images must be (N,C,H,W), got {self.images.shape}")
         n = self.images.shape[0]
         if len(self.labels) != n or len(self.provenance) != n:
             raise ValueError("labels/provenance length must match images")
-        if n and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # written so that NaN, which fails every comparison, fails it too
+        if n and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("image values must lie in [0,1]")
 
     def __len__(self) -> int:
@@ -317,32 +321,18 @@ def class_weights(ds: LabeledDataset) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
-    kind: str = "uniform"  # uniform | class_weighted
-    class_weights: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "class_weighted"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.class_weights is not None and min(self.class_weights) <= 0:
-            raise ValueError("class weights must be positive")
-
-
 class IndexSampler:
-    """Stream of dataset indices drawn uniformly or by per-class weight."""
+    """Stream of dataset indices drawn uniformly, or class-balanced: each row
+    weighted by its class's ``class_weights``, so both classes are drawn equally."""
 
-    def __init__(self, spec: SamplerSpec, ds: LabeledDataset, rng: RngStream):
+    def __init__(self, ds: LabeledDataset, rng: RngStream, balanced: bool):
         if len(ds) == 0:
             raise ValueError("cannot sample from an empty dataset")
         self._n = len(ds)
         self._rng = rng
-        if spec.kind == "uniform":
-            self._cdf = None
-        else:
-            weights = spec.class_weights
-            if weights is None:
-                weights = class_weights(ds)
+        self._cdf = None
+        if balanced:
+            weights = class_weights(ds)
             per_index = np.where(ds.labels == 1, weights[1], weights[0]).astype(np.float64)
             self._cdf = np.cumsum(per_index / per_index.sum())
 

@@ -1,10 +1,8 @@
-"""Classification and generation-quality metrics.
+"""Classification metrics, and SSIM for the autoencoder's reconstructions.
 
 Classification: confusion counts at a threshold, sensitivity/specificity,
-their harmonic mean, and trapezoidal ROC AUC. Generation: Fréchet and
-kernel (MMD) distances plus an inception-score analog, all computed over
-features from the workbench's own classifier rather than a pretrained
-inception network, and SSIM for reconstruction quality.
+their harmonic mean, and trapezoidal ROC AUC. SSIM scores how well the
+autoencoder reconstructs its images (``latentae.ReconstructionReport``).
 
 Percentages are reported in [0, 100]. Undefined ratios (empty denominator,
 single-class AUC) return NaN rather than a silent zero.
@@ -127,88 +125,8 @@ def evaluate_probs(probs, labels, threshold: float = 0.5, subgroups=None) -> Eva
 
 
 # ---------------------------------------------------------------------------
-# generation metrics
+# reconstruction quality
 # ---------------------------------------------------------------------------
-
-
-def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a symmetric PSD matrix via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def frechet_from_moments(mu_a, cov_a, mu_b, cov_b) -> float:
-    """||mu_a-mu_b||^2 + tr(cov_a + cov_b - 2 (cov_a cov_b)^(1/2))."""
-    mu_a = np.atleast_1d(np.asarray(mu_a, dtype=np.float64))
-    mu_b = np.atleast_1d(np.asarray(mu_b, dtype=np.float64))
-    cov_a = np.atleast_2d(np.asarray(cov_a, dtype=np.float64))
-    cov_b = np.atleast_2d(np.asarray(cov_b, dtype=np.float64))
-    diff = mu_a - mu_b
-    # tr sqrtm(cov_a cov_b) computed on the symmetrized product
-    # sqrt(cov_a) cov_b sqrt(cov_a), which shares its eigenvalues.
-    root_a = _sym_sqrt(cov_a)
-    inner = root_a @ cov_b @ root_a
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    tr_sqrt = float(np.sum(np.sqrt(vals)))
-    return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
-
-
-def frechet_feature_distance(feats_a, feats_b) -> float:
-    """Fréchet distance between Gaussian fits of two feature sets."""
-    a = np.atleast_2d(np.asarray(feats_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(feats_b, dtype=np.float64))
-    dim = a.shape[1]
-    if b.shape[1] != dim:
-        raise ValueError(f"feature dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if a.shape[0] < dim + 1 or b.shape[0] < dim + 1:
-        raise ValueError(
-            f"need at least dim+1={dim + 1} samples per side for a full-rank "
-            f"covariance, got {a.shape[0]} and {b.shape[0]}"
-        )
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov_a = np.cov(a, rowvar=False)
-    cov_b = np.cov(b, rowvar=False)
-    return frechet_from_moments(mu_a, cov_a, mu_b, cov_b)
-
-
-def poly_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Degree-3 polynomial kernel (x.y/d + 1)^3 between row sets."""
-    d = x.shape[1]
-    return (x @ y.T / d + 1.0) ** 3
-
-
-def kernel_feature_distance(feats_a, feats_b) -> float:
-    """Unbiased squared MMD with the degree-3 polynomial kernel."""
-    a = np.atleast_2d(np.asarray(feats_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(feats_b, dtype=np.float64))
-    m, n = a.shape[0], b.shape[0]
-    if m < 2 or n < 2:
-        raise ValueError("need at least 2 samples per side")
-    kaa = poly_kernel(a, a)
-    kbb = poly_kernel(b, b)
-    kab = poly_kernel(a, b)
-    term_a = (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
-    term_b = (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-    return float(term_a + term_b - 2.0 * kab.mean())
-
-
-def inception_score_analog(class_probs) -> float:
-    """exp(E_x KL(p(y|x) || p(y))) over the scorer's class posteriors."""
-    p = np.atleast_2d(np.asarray(class_probs, dtype=np.float64))
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-8):
-        raise ValueError("rows must be probability distributions")
-    marginal = p.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(p > 0, np.log(p / marginal), 0.0)
-    kl = np.sum(p * logs, axis=1)
-    return float(np.exp(kl.mean()))
-
-
-def binary_class_probs(positive_probs) -> np.ndarray:
-    """Stack binary classifier outputs into (N,2) class posteriors."""
-    p = np.asarray(positive_probs, dtype=np.float64)
-    return np.stack([1.0 - p, p], axis=1)
 
 
 def ssim(img_a, img_b, window: int = 8, dynamic_range: float = 1.0) -> float:

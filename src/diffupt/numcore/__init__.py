@@ -1,4 +1,4 @@
-"""Deterministic float64 tensor engine: autodiff, layers, Adam, RNG, weight files."""
+"""Deterministic float64 tensor engine: autodiff, layers, Adam, RNG, heap policy."""
 
 from .tensor import (
     CHWB_TO_NCHW,
@@ -14,8 +14,6 @@ from .tensor import (
     matmul,
     no_grad,
     permute,
-    relu,
-    sigmoid,
     silu,
     softplus,
 )
@@ -23,7 +21,6 @@ from .heap import retain_freed_memory
 from .rng import RngStream
 from .optim import MissingGradError, Parameter, adam_step
 from .nn import Conv2d, Embedding, Linear, Module, ModuleList
-from .serial import SerializationError, load_state, save_state
 
 __all__ = [
     "NCHW_TO_CHWB",
@@ -35,9 +32,7 @@ __all__ = [
     "backward",
     "matmul",
     "conv2d",
-    "relu",
     "silu",
-    "sigmoid",
     "softplus",
     "concat",
     "permute",
@@ -53,7 +48,4 @@ __all__ = [
     "Linear",
     "Conv2d",
     "Embedding",
-    "save_state",
-    "load_state",
-    "SerializationError",
 ]

@@ -9,7 +9,6 @@ import numpy as np
 from . import tensor as T
 from .optim import Parameter
 from .rng import RngStream
-from .serial import load_state, save_state
 from .tensor import Tensor
 
 
@@ -69,26 +68,10 @@ class Module:
             out.extend(mod.named_buffers(prefix + name + "."))
         return out
 
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, p.tensor.data) for n, p in self.named_parameters()] + self.named_buffers()
-
-    def save(self, path) -> None:
-        save_state(path, self.state_arrays())
-
-    def load(self, path) -> None:
-        state = load_state(path)
-        for name, p in self.named_parameters():
-            arr = state[name]
-            if arr.shape != p.shape:
-                raise ValueError(f"shape mismatch loading {name}: file {arr.shape} vs model {p.shape}")
-            p.tensor.data[...] = arr
-        for name, buf in self.named_buffers():
-            if name in state:
-                buf[...] = state[name]
-
     def weight_bytes(self) -> bytes:
-        """Canonical byte image of all parameters and buffers (for bitwise comparisons)."""
-        return b"".join(arr.astype("<f8").tobytes() for _, arr in self.state_arrays())
+        """Canonical byte image of all parameters, then all buffers (for bitwise comparisons)."""
+        arrays = [p.data for p in self.parameters()] + [b for _, b in self.named_buffers()]
+        return b"".join(arr.astype("<f8").tobytes() for arr in arrays)
 
 
 class ModuleList(Module):

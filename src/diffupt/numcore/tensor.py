@@ -65,9 +65,7 @@ __all__ = [
     "backward",
     "matmul",
     "conv2d",
-    "relu",
     "silu",
-    "sigmoid",
     "softplus",
     "concat",
     "permute",
@@ -140,9 +138,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -282,15 +277,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def relu(x: Tensor) -> Tensor:
-    value = np.maximum(x.data, 0.0)
-
-    def back(g):
-        return (g * (x.data > 0.0),)
-
-    return _make(value, "relu", (x,), back)
-
-
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid_np(x.data)
     value = x.data * s
@@ -299,15 +285,6 @@ def silu(x: Tensor) -> Tensor:
         return (g * (s * (1.0 + x.data * (1.0 - s))),)
 
     return _make(value, "silu", (x,), back)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid_np(x.data)
-
-    def back(g):
-        return (g * s * (1.0 - s),)
-
-    return _make(s, "sigmoid", (x,), back)
 
 
 def softplus(x: Tensor) -> Tensor:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import metrics as M
 from .classifier import ClassifierModel, TrainRegime, embedding_statistics, multi_stage_retrain, train_classifier
-from .data import SYNTHETIC, LabeledDataset, SamplerSpec, class_dataset, concat_datasets, smote_oversample
+from .data import SYNTHETIC, LabeledDataset, class_dataset, concat_datasets, smote_oversample
 from .diffusion import (
     DenoiserModel,
     DiffusionTrainConfig,
@@ -223,6 +223,8 @@ class GenerationPlan:
             raise ValueError("filter threshold must lie in (0,1)")
         if self.max_attempts_factor < 1.0:
             raise ValueError("max_attempts_factor must be >= 1")
+        if self.gen_batch < 1:
+            raise ValueError(f"gen_batch must be >= 1, got {self.gen_batch}")
 
 
 @dataclass
@@ -232,10 +234,6 @@ class GenerationStats:
     kept: tuple[int, int] = (0, 0)
     sampling_seconds: float = 0.0
     model_pair_calls: int = 0
-
-    @property
-    def rejected(self) -> tuple[int, int]:
-        return (self.attempted[0] - self.kept[0], self.attempted[1] - self.kept[1])
 
 
 def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierModel, threshold: float) -> np.ndarray:
@@ -255,7 +253,6 @@ def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierM
 
 @dataclass
 class StackConfig:
-    image_size: int = 16
     ae_base_channels: int = 16
     latent_channels: int = 4
     ae: AeTrainConfig = field(default_factory=AeTrainConfig)
@@ -285,8 +282,10 @@ class GenerativeStack:
 
 
 def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngStream) -> GenerativeStack:
-    """Autoencoder, latent calibration, then conditional latent denoiser."""
-    ae = Autoencoder(cfg.image_size, train_ds.images.shape[1], cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
+    """Autoencoder, latent calibration, then conditional latent denoiser, for
+    the square images of ``train_ds``."""
+    channels, size = train_ds.images.shape[1:3]
+    ae = Autoencoder(size, channels, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
     train_autoencoder(ae, train_ds, cfg.ae, rng.split("ae-train"))
     # one encode of every row serves the calibration, the report and the denoiser's latents
     z = encode(ae, train_ds.images)
@@ -502,7 +501,8 @@ def diffupt_run(
     """Full method: generate, pretrain on synthetic, fine-tune on real."""
     ctx = ctx or ExperimentContext(diffupt_cfg=cfg)
     baseline, stack = ctx.ensure_models(splits, rng, stack=synthetic is None)
-    return _diffupt_after(splits, cfg, rng, baseline, stack, synthetic, partial(ctx.new_classifier, splits))
+    model = ctx.new_classifier(splits, rng.split("diffupt-init"))
+    return _diffupt_after(splits, cfg, rng, baseline, stack, synthetic, model)
 
 
 def _diffupt_after(
@@ -512,16 +512,15 @@ def _diffupt_after(
     baseline: ClassifierModel | None,
     stack: GenerativeStack | None,
     synthetic: LabeledDataset | None,
-    new_classifier: Callable[[RngStream], ClassifierModel],
+    model: ClassifierModel,
 ) -> DiffuPTResult:
-    """DiffuPT once its shared models exist: generate (unless ``synthetic`` is
-    given), then pretrain and fine-tune the classifier ``new_classifier`` gives."""
+    """DiffuPT once its shared models and its fresh classifier ``model`` exist:
+    generate (unless ``synthetic`` is given), then pretrain and fine-tune ``model``."""
     if synthetic is None:
         synthetic, stats = generate_balanced_dataset(stack, cfg.generation, baseline, rng.split("generate"))
     else:
         stats = GenerationStats(requested=cfg.generation.target_counts, kept=synthetic.class_counts)
 
-    model = new_classifier(rng.split("diffupt-init"))
     if len(synthetic):
         train_classifier(model, synthetic, cfg.pretrain, rng.split("pretrain"), val_ds=splits.val)
     pretrain_val = _evaluate(model, splits.val)
@@ -623,24 +622,20 @@ def _diffupt(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int 
     model = ctx.new_classifier(splits, rng.split("diffupt-init"))
 
     def job():
-        res = _diffupt_after(splits, ctx.diffupt_cfg, rng, baseline, stack, None, lambda _: model)
+        res = _diffupt_after(splits, ctx.diffupt_cfg, rng, baseline, stack, None, model)
         return res.val, res.test
 
     return model, job
 
 
-# class_weights=None weighs the loss by the inverse class frequency of the training set
-_WEIGHTED_CE = {"loss": "weighted_bce", "class_weights": None}
-_BALANCED = SamplerSpec("class_weighted")
-
 METHODS: dict[str, Runner] = {
     "normal": _one_classifier(),
-    "weighted_ce": _one_classifier(**_WEIGHTED_CE),
-    "weighted_sampler": _one_classifier(sampler=_BALANCED),
-    "weighted_ce+sampler": _one_classifier(**_WEIGHTED_CE, sampler=_BALANCED),
+    "weighted_ce": _one_classifier(weighted_loss=True),
+    "weighted_sampler": _one_classifier(balanced_sampler=True),
+    "weighted_ce+sampler": _one_classifier(weighted_loss=True, balanced_sampler=True),
     "multi_stage+sampler": _multi_stage,
-    "smote_augment": _one_classifier(_smote_minority, sampler=SamplerSpec("uniform")),
-    "gen_augment": _one_classifier(_generated_minority, sampler=_BALANCED),  # labelled gen_augment(N)
+    "smote_augment": _one_classifier(_smote_minority, balanced_sampler=False),
+    "gen_augment": _one_classifier(_generated_minority, balanced_sampler=True),  # labelled gen_augment(N)
     "diffupt": _diffupt,
 }
 
@@ -759,24 +754,3 @@ def filtering_ablation(
         rows.append(FilteringRow(label=label, synthetic=synth, val=res.val, test=res.test))
     return rows
 
-
-def generation_quality_metrics(
-    stack_label: str,
-    synthetic: LabeledDataset,
-    real: LabeledDataset,
-    scorer: ClassifierModel,
-    nfe: int,
-    sampling_seconds: float,
-) -> dict:
-    """FID/KID/IS analogs over the workbench classifier's features."""
-    feats_real = scorer.extract_features(real.images)
-    feats_synth = scorer.extract_features(synthetic.images)
-    probs = scorer.predict_proba(synthetic.images)
-    return {
-        "model": stack_label,
-        "nfe": nfe,
-        "fid_like": M.frechet_feature_distance(feats_real, feats_synth),
-        "kid_like": M.kernel_feature_distance(feats_real, feats_synth),
-        "is_like": M.inception_score_analog(M.binary_class_probs(probs)),
-        "sampling_time_s": sampling_seconds,
-    }

@@ -9,7 +9,6 @@ from diffupt.data import (
     IndexSampler,
     LabeledDataset,
     MissingClassError,
-    SamplerSpec,
     SplitDeficitError,
     SynthFundusConfig,
     class_weights,
@@ -183,7 +182,7 @@ def test_class_weights_missing_class_errors():
 
 def test_uniform_sampler_share_matches_dataset():
     ds = generate_synth_fundus(SynthFundusConfig(seed=12, image_size=8), 915, 85)
-    sampler = IndexSampler(SamplerSpec("uniform"), ds, RngStream(0))
+    sampler = IndexSampler(ds, RngStream(0), balanced=False)
     idx = sampler.draw(10_000)
     share = ds.labels[idx].mean()
     assert share == pytest.approx(0.085, abs=0.01)
@@ -191,7 +190,7 @@ def test_uniform_sampler_share_matches_dataset():
 
 def test_weighted_sampler_equalizes_classes():
     ds = generate_synth_fundus(SynthFundusConfig(seed=13, image_size=8), 915, 85)
-    sampler = IndexSampler(SamplerSpec("class_weighted"), ds, RngStream(1))
+    sampler = IndexSampler(ds, RngStream(1), balanced=True)
     idx = sampler.draw(10_000)
     share = ds.labels[idx].mean()
     assert share == pytest.approx(0.5, abs=0.02)
@@ -199,14 +198,14 @@ def test_weighted_sampler_equalizes_classes():
 
 def test_sampler_single_class_valid_indices():
     ds = generate_synth_fundus(SynthFundusConfig(seed=14, image_size=8), 25, 0)
-    sampler = IndexSampler(SamplerSpec("uniform"), ds, RngStream(2))
+    sampler = IndexSampler(ds, RngStream(2), balanced=False)
     idx = sampler.draw(500)
     assert idx.min() >= 0 and idx.max() < 25
 
 
 def test_weighted_sampler_three_sigma_band():
     ds = generate_synth_fundus(SynthFundusConfig(seed=15, image_size=8), 900, 100)
-    sampler = IndexSampler(SamplerSpec("class_weighted"), ds, RngStream(3))
+    sampler = IndexSampler(ds, RngStream(3), balanced=True)
     n = 10_000
     share = ds.labels[sampler.draw(n)].mean()
     sigma = np.sqrt(0.25 / n)
@@ -308,3 +307,25 @@ def test_concat_datasets_of_empty_parts_keeps_image_shape():
     out = concat_datasets([empty, empty.subset([])])
     assert len(out) == 0
     assert out.images.shape == (0, 1, 8, 8)
+
+
+# ---------------------------------------------------------------------------
+# dataset validation
+# ---------------------------------------------------------------------------
+
+
+def _pixels(*values):
+    """One 1x1 single-channel image per value."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_dataset_rejects_image_values_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        LabeledDataset(images=_pixels(0.5, bad), labels=[0, 1], provenance=[0, 0])
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0.5, 1]])
+def test_dataset_rejects_labels_outside_zero_and_one(labels):
+    with pytest.raises(ValueError, match="labels"):
+        LabeledDataset(images=_pixels(0.2, 0.3), labels=labels, provenance=[0, 0])

@@ -1,8 +1,8 @@
-"""Metric tests: confusion/harmonic-mean/AUC oracles and generation metrics."""
+"""Metric tests: confusion/harmonic-mean/AUC oracles and SSIM."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from diffupt import metrics as M
@@ -125,113 +125,6 @@ def test_auc_matches_pairwise_oracle(seed):
     # quantized scores force plenty of ties
     probs = np.round(rng.uniform((n,)), 1)
     assert M.auc(probs, labels) == pytest.approx(auc_pairwise(probs, labels), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Fréchet distance
-# ---------------------------------------------------------------------------
-
-
-def frechet_eig_oracle(mu_a, cov_a, mu_b, cov_b):
-    """Independent route: eigendecompose the (nonsymmetric) product directly."""
-    diff = np.atleast_1d(mu_a) - np.atleast_1d(mu_b)
-    prod = np.atleast_2d(cov_a) @ np.atleast_2d(cov_b)
-    vals = np.linalg.eigvals(prod)
-    tr_sqrt = np.sum(np.sqrt(np.clip(vals.real, 0.0, None)))
-    return float(diff @ diff + np.trace(np.atleast_2d(cov_a)) + np.trace(np.atleast_2d(cov_b)) - 2 * tr_sqrt)
-
-
-def test_frechet_identical_sets_is_zero():
-    rng = RngStream(1)
-    feats = rng.normal((50, 4))
-    assert abs(M.frechet_feature_distance(feats, feats)) < 1e-8
-
-
-def test_frechet_closed_form_1d():
-    # N(0,1) vs N(1,1): d^2 = (0-1)^2 + (1 + 1 - 2*sqrt(1)) = 1.
-    assert M.frechet_from_moments([0.0], [[1.0]], [1.0], [[1.0]]) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_frechet_matches_eig_oracle_4d(seed):
-    rng = RngStream(100 + seed)
-    a = rng.normal((200, 4))
-    b = rng.normal((200, 4)) * 1.5 + 0.3
-    mu_a, cov_a = a.mean(axis=0), np.cov(a, rowvar=False)
-    mu_b, cov_b = b.mean(axis=0), np.cov(b, rowvar=False)
-    ours = M.frechet_from_moments(mu_a, cov_a, mu_b, cov_b)
-    ref = frechet_eig_oracle(mu_a, cov_a, mu_b, cov_b)
-    assert ours == pytest.approx(ref, abs=1e-6)
-    assert M.frechet_feature_distance(a, b) == pytest.approx(ref, abs=1e-6)
-
-
-def test_frechet_symmetry():
-    rng = RngStream(9)
-    a = rng.normal((30, 3))
-    b = rng.normal((30, 3)) + 1.0
-    assert M.frechet_feature_distance(a, b) == pytest.approx(M.frechet_feature_distance(b, a), abs=1e-9)
-
-
-def test_frechet_insufficient_samples_errors():
-    rng = RngStream(2)
-    with pytest.raises(ValueError):
-        M.frechet_feature_distance(rng.normal((4, 4)), rng.normal((50, 4)))
-
-
-# ---------------------------------------------------------------------------
-# kernel distance
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_symmetry_exact():
-    rng = RngStream(3)
-    x = rng.normal((5, 4))
-    y = rng.normal((7, 4))
-    assert np.allclose(M.poly_kernel(x, y), M.poly_kernel(y, x).T)
-
-
-def test_kernel_distance_null_within_permutation_spread():
-    rng = RngStream(4)
-    a = rng.normal((150, 4))
-    b = rng.normal((150, 4))
-    observed = M.kernel_feature_distance(a, b)
-    pooled = np.vstack([a, b])
-    null = []
-    for i in range(200):
-        perm = RngStream(4).split(f"perm{i}").permutation(300)
-        null.append(M.kernel_feature_distance(pooled[perm[:150]], pooled[perm[150:]]))
-    assert abs(observed) < 3 * np.std(null) + abs(np.mean(null))
-
-
-def test_kernel_distance_orders_translated_distributions():
-    rng = RngStream(5)
-    a = rng.normal((150, 4))
-    same = rng.normal((150, 4))
-    shifted = rng.normal((150, 4)) + 1.0
-    assert M.kernel_feature_distance(a, shifted) > M.kernel_feature_distance(a, same)
-
-
-# ---------------------------------------------------------------------------
-# inception-score analog
-# ---------------------------------------------------------------------------
-
-
-def test_is_analog_uniform_is_one():
-    p = np.full((100, 2), 0.5)
-    assert M.inception_score_analog(p) == pytest.approx(1.0)
-
-
-def test_is_analog_confident_balanced_is_two():
-    p = np.array([[1.0, 0.0]] * 50 + [[0.0, 1.0]] * 50)
-    assert M.inception_score_analog(p) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_is_analog_bounded(seed):
-    rng = RngStream(seed)
-    pos = rng.uniform((64,))
-    val = M.inception_score_analog(M.binary_class_probs(pos))
-    assert 1.0 - 1e-9 <= val <= 2.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------

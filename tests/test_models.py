@@ -8,10 +8,10 @@ import pytest
 
 from diffupt import classifier as C
 from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
-from diffupt.data import SamplerSpec, SynthFundusConfig, generate_synth_fundus
+from diffupt.data import SynthFundusConfig, generate_synth_fundus
 from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
 from diffupt.latentae import Autoencoder, decode, encode
-from diffupt.numcore import Linear, NonFiniteError, RngStream, Tensor, adam_step, backward, no_grad
+from diffupt.numcore import Linear, NonFiniteError, RngStream, ShapeError, Tensor, adam_step, backward, no_grad
 from diffupt.numcore.optim import _runs
 from test_numcore import conv2d_bruteforce
 
@@ -45,6 +45,12 @@ def _stage_one():
     return model, ds
 
 
+@pytest.mark.parametrize("bad", [{"batch": 0}, {"eval_every": 0}, {"iterations": -1}], ids=["batch", "eval_every", "iterations"])
+def test_regime_rejects_sizes_that_cannot_train(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TrainRegime(**bad)
+
+
 def test_stage_two_trains_only_the_head_and_leaves_no_feature_gradients():
     model, ds = _stage_one()
     multi_stage_retrain(model, ds, RngStream(7), val_ds=ds, iterations=5, batch=8)
@@ -54,7 +60,7 @@ def test_stage_two_trains_only_the_head_and_leaves_no_feature_gradients():
     ref, _ = _stage_one()
     rng = RngStream(7)
     ref.reinit_head(rng.split("head-reinit"))
-    regime = TrainRegime(loss="bce", sampler=SamplerSpec("class_weighted"), lr=1e-3, iterations=5, batch=8)
+    regime = TrainRegime(balanced_sampler=True, lr=1e-3, iterations=5, batch=8)
     train_classifier(ref, ds, regime, rng.split("stage2"), val_ds=ds, params=ref.head.parameters())
     assert model.weight_bytes() == ref.weight_bytes()
 
@@ -165,16 +171,10 @@ def test_reinit_head_draws_a_fresh_head_in_place():
         assert np.shares_memory(p.data, buffer)
 
 
-def test_save_load_round_trip_restores_values_into_the_buffer(tmp_path):
-    trained, other = _autoencoder(3), _autoencoder(4)
-    backward(_autoencoder_loss(trained, RngStream(5)))
-    adam_step(trained.parameters(), 1e-3)
-    trained.save(tmp_path / "ae.bin")
-    other.load(tmp_path / "ae.bin")
-    assert other.weight_bytes() == trained.weight_bytes()
-    assert np.array_equal(other.parameter_buffer[0], trained.parameter_buffer[0])
-    assert not other.parameter_buffer[1:].any()  # values only; the moments stay as they were
-    assert len(_runs(other.parameters())) == 1
+@pytest.mark.parametrize("shape", [(256,), (16, 16)])
+def test_classifier_takes_only_chw_images(shape):
+    with pytest.raises(ShapeError, match="C, H, W"):
+        ClassifierModel(shape, RngStream(0))
 
 
 def test_nan_in_a_classifier_weight_makes_predict_proba_raise():

@@ -1,4 +1,4 @@
-"""Tensor engine tests: op oracles, gradient checks, optimizer, RNG, weights."""
+"""Tensor engine tests: op oracles, gradient checks, optimizer, RNG, heap policy."""
 
 import ctypes
 import os
@@ -8,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import diffupt
 from diffupt.numcore import (
@@ -22,7 +20,6 @@ from diffupt.numcore import (
     NonFiniteError,
     Parameter,
     RngStream,
-    SerializationError,
     ShapeError,
     Tensor,
     adam_step,
@@ -31,13 +28,9 @@ from diffupt.numcore import (
     concat,
     conv2d,
     embedding,
-    load_state,
     matmul,
     no_grad,
     permute,
-    relu,
-    save_state,
-    sigmoid,
     silu,
     softplus,
 )
@@ -78,11 +71,6 @@ def conv2d_bruteforce(x, w, stride=1, pad=0):
 # ---------------------------------------------------------------------------
 # forward ops
 # ---------------------------------------------------------------------------
-
-
-def test_relu_definition():
-    out = relu(Tensor([-1.0, 0.0, 2.0]))
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
 def test_matmul_identity():
@@ -349,7 +337,7 @@ def test_elementwise_broadcast_rules():
 def test_activations_values():
     x = np.array([-2.0, 0.0, 3.0])
     s = 1.0 / (1.0 + np.exp(-x))
-    assert np.allclose(sigmoid(Tensor(x)).data, s)
+    assert np.allclose(tops._sigmoid_np(x), s)
     assert np.allclose(silu(Tensor(x)).data, x * s)
     assert np.allclose(softplus(Tensor(x)).data, np.log1p(np.exp(x)))
 
@@ -625,67 +613,6 @@ def test_training_determinism_same_seed_same_weights():
         return net.weight_bytes()
 
     assert run() == run()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_weight_file_roundtrip(tmp_path):
-    rng = RngStream(3)
-    net = _TwoLayerNet(rng)
-    path = tmp_path / "weights.bin"
-    net.save(path)
-    other = _TwoLayerNet(RngStream(4))
-    assert other.weight_bytes() != net.weight_bytes()
-    other.load(path)
-    assert other.weight_bytes() == net.weight_bytes()
-
-
-def test_weight_file_rejects_bad_magic(tmp_path):
-    p = tmp_path / "junk.bin"
-    p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(SerializationError):
-        load_state(p)
-
-
-def test_save_state_plain_arrays(tmp_path):
-    path = tmp_path / "arrs.bin"
-    save_state(path, [("a", np.arange(6.0).reshape(2, 3)), ("scalar", np.array(5.0))])
-    state = load_state(path)
-    assert np.array_equal(state["a"], np.arange(6.0).reshape(2, 3))
-    assert state["scalar"] == 5.0
-
-
-_VALID_STATE = [("conv.w", np.arange(24.0).reshape(2, 3, 2, 2)), ("scalar", np.array(5.0)), ("b", np.ones(3))]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_load_state_rejects_truncated_file(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("trunc") / "w.bin"
-    save_state(path, _VALID_STATE)
-    buf = path.read_bytes()
-    cut = data.draw(st.integers(0, len(buf) - 1), label="cut")
-    path.write_bytes(buf[:cut])
-    with pytest.raises(SerializationError):
-        load_state(path)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_load_state_corrupt_byte_raises_only_serialization_error(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("corrupt") / "w.bin"
-    save_state(path, _VALID_STATE)
-    buf = bytearray(path.read_bytes())
-    pos = data.draw(st.integers(0, len(buf) - 1), label="pos")
-    buf[pos] = data.draw(st.integers(0, 255).filter(lambda v: v != buf[pos]), label="byte")
-    path.write_bytes(bytes(buf))
-    try:
-        load_state(path)  # a flipped float64 payload byte still parses
-    except SerializationError:
-        pass
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
 
     # the same stack from separate encodes: the calibration's, each report row's and the denoiser's
     rng = RngStream(5)
-    ae = L.Autoencoder(cfg.image_size, 1, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
+    ae = L.Autoencoder(16, 1, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
     L.train_autoencoder(ae, ds, cfg.ae, rng.split("ae-train"))
     n = L.training_rows(len(ds))
     assert n == 126
@@ -204,6 +204,13 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
     assert stack.ae.weight_bytes() == ae.weight_bytes()  # the latent shift and scale buffers included
     assert repr(stack.ae_report.rows) == repr(rows)
     assert stack.denoiser.weight_bytes() == denoiser.weight_bytes()
+
+
+@pytest.mark.parametrize("gen_batch", [0, -3])
+def test_plan_rejects_a_generation_batch_below_one(gen_batch):
+    # a batch of 0 never adds to the attempts, so generation would never return
+    with pytest.raises(ValueError, match="gen_batch"):
+        P.GenerationPlan(gen_batch=gen_batch)
 
 
 def test_shortfall_error_survives_pickling():
