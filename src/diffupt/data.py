@@ -323,7 +323,8 @@ def class_weights(ds: LabeledDataset) -> tuple[float, float]:
 
 class IndexSampler:
     """Stream of dataset indices drawn uniformly, or class-balanced: each row
-    weighted by its class's ``class_weights``, so both classes are drawn equally."""
+    weighted by its class's ``class_weights``, so each class is drawn half the
+    time in expectation."""
 
     def __init__(self, ds: LabeledDataset, rng: RngStream, balanced: bool):
         if len(ds) == 0:
