@@ -27,10 +27,10 @@ from .numcore import (
     Tensor,
     adam_step,
     backward,
+    bce_with_logits,
+    mean_pool,
     no_grad,
     permute,
-    silu,
-    softplus,
 )
 
 
@@ -54,9 +54,9 @@ class ClassifierModel(Module):
         c_in = self.input_shape[0]
         self.convs = nc.ModuleList()
         for i, c_out in enumerate(conv_channels):
-            self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1))
+            self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1, silu=True))
             c_in = c_out
-        self.mix = Conv2d(c_in, feature_dim, 3, r.split("mix"), pad=1)
+        self.mix = Conv2d(c_in, feature_dim, 3, r.split("mix"), pad=1, silu=True)
         self.head = Linear(feature_dim, 1, rng.split("head"))
         self.pack_parameters()
 
@@ -67,10 +67,8 @@ class ClassifierModel(Module):
         """(B, F) features of an NCHW batch; the convs run on (C, H, W, B) maps."""
         h = permute(x, NCHW_TO_CHWB)
         for conv in self.convs:
-            h = silu(conv(h))
-        h = silu(self.mix(h))
-        h = h.reshape(self.feature_dim, -1, x.shape[0]).mean(axis=1)
-        return permute(h, (1, 0))
+            h = conv(h)
+        return mean_pool(self.mix(h))
 
     def logits_t(self, x: Tensor) -> Tensor:
         return self.head(self.features_t(x)).reshape(-1)
@@ -90,18 +88,16 @@ class ClassifierModel(Module):
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray, weights: tuple[float, float] | None = None) -> Tensor:
-    """Mean binary cross-entropy on logits, stabilized via softplus.
+    """Mean binary cross-entropy on logits, stabilized via softplus, one tape node.
 
     softplus(x) - y*x == -[y log p + (1-y) log(1-p)] for p = sigmoid(x).
+    ``weights`` (class 0, class 1) weigh each row by its label's weight.
     """
     y = np.asarray(labels, dtype=np.float64)
     if logits.shape != y.shape:
         raise nc.ShapeError(f"logits {logits.shape} vs labels {y.shape}")
-    per_sample = softplus(logits) - logits * Tensor(y)
-    if weights is not None:
-        w = np.where(y == 1, weights[1], weights[0])
-        per_sample = per_sample * Tensor(w)
-    return per_sample.mean()
+    w = None if weights is None else np.where(y == 1, weights[1], weights[0])
+    return bce_with_logits(logits, y, w)
 
 
 @dataclass

@@ -132,15 +132,36 @@ class SynthFundusConfig:
             raise ValueError("disc radius range must satisfy 0 < lo < hi < 0.5")
 
 
+def _soft_edge(edge_r: np.ndarray, d: np.ndarray, width: float, out: np.ndarray) -> np.ndarray:
+    """``clip(0.5 + (edge_r - d) / width, 0, 1)`` per image, written into ``out``."""
+    np.subtract(edge_r[:, None, None], d, out=out)
+    out /= width
+    out += 0.5
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def _render_discs(size, cx, cy, r_disc, r_cup, cfg: SynthFundusConfig) -> np.ndarray:
+    """(n, size, size) disc-and-cup images: the background level, plus the
+    disc's and then the cup's level step, each through a soft edge of the
+    pixel-centre distance to the disc centre. Everything is computed in two
+    image-sized buffers, the distance and the image; the cup's soft edge
+    overwrites the distance once the disc's is drawn. Each step is the IEEE
+    operation of ``bg + (disc - bg) * soft(r_disc) + (cup - disc) * soft(r_cup)``
+    on the same operands, so the pixels are those of that expression."""
     ys, xs = np.mgrid[0:size, 0:size] + 0.5
-    d = np.sqrt((xs - cx[:, None, None]) ** 2 + (ys - cy[:, None, None]) ** 2)
+    d = np.subtract(xs, cx[:, None, None])
+    np.square(d, out=d)
+    img = np.subtract(ys, cy[:, None, None])
+    np.square(img, out=img)
+    d += img
+    np.sqrt(d, out=d)
 
-    def soft(edge_r):
-        return np.clip(0.5 + (edge_r[:, None, None] - d) / cfg.edge_width, 0.0, 1.0)
-
-    img = cfg.bg_level + (cfg.disc_level - cfg.bg_level) * soft(r_disc)
-    img += (cfg.cup_level - cfg.disc_level) * soft(r_cup)
+    _soft_edge(r_disc, d, cfg.edge_width, out=img)
+    img *= cfg.disc_level - cfg.bg_level
+    img += cfg.bg_level
+    cup = _soft_edge(r_cup, d, cfg.edge_width, out=d)
+    cup *= cfg.cup_level - cfg.disc_level
+    img += cup
     return img
 
 
@@ -176,7 +197,7 @@ def generate_synth_fundus(cfg: SynthFundusConfig, n_negative: int, n_positive: i
 
     images = _render_discs(size, cx, cy, r_disc, ratios * r_disc, cfg)
     images += rng.normal(images.shape, 0.0, cfg.noise_sd)
-    images = np.clip(images, 0.0, 1.0)[:, None, :, :]
+    images = np.clip(images, 0.0, 1.0, out=images)[:, None, :, :]
 
     return LabeledDataset(
         images=images,

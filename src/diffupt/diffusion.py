@@ -182,14 +182,13 @@ class _CondBlock(Module):
 
     def __init__(self, cin: int, cout: int, emb_dim: int, rng: RngStream):
         super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, rng.split("c1"), pad=1)
+        self.conv1 = Conv2d(cin, cout, 3, rng.split("c1"), pad=1, silu=True)
         self.proj = Linear(emb_dim, cout, rng.split("p"))
-        self.conv2 = Conv2d(cout, cout, 3, rng.split("c2"), pad=1)
+        self.conv2 = Conv2d(cout, cout, 3, rng.split("c2"), pad=1, silu=True)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        h = silu(self.conv1(x))
-        h = add_channel_bias(h, self.proj(cond))
-        return silu(self.conv2(h))
+        h = add_channel_bias(self.conv1(x), self.proj(cond))
+        return self.conv2(h)
 
 
 class UNetDenoiser(DenoiserModel):
@@ -220,16 +219,17 @@ class UNetDenoiser(DenoiserModel):
         self.class_embed = Embedding(3, emb_dim, rng.split("class"))
 
         widths = [base_channels * (2**i) for i in range(depth + 1)]
-        self.stem = Conv2d(c, widths[0], 3, rng.split("stem"), pad=1)
+        self.stem = Conv2d(c, widths[0], 3, rng.split("stem"), pad=1, silu=True)
         self.down_blocks = ModuleList(
             _CondBlock(widths[i], widths[i], emb_dim, rng.split(f"down{i}")) for i in range(depth)
         )
         self.down_samplers = ModuleList(
-            Conv2d(widths[i], widths[i + 1], 3, rng.split(f"ds{i}"), stride=2, pad=1) for i in range(depth)
+            Conv2d(widths[i], widths[i + 1], 3, rng.split(f"ds{i}"), stride=2, pad=1, silu=True) for i in range(depth)
         )
         self.mid = _CondBlock(widths[depth], widths[depth], emb_dim, rng.split("mid"))
         self.up_convs = ModuleList(
-            Conv2d(widths[i + 1], widths[i], 3, rng.split(f"up{i}"), pad=1, upsample=2) for i in reversed(range(depth))
+            Conv2d(widths[i + 1], widths[i], 3, rng.split(f"up{i}"), pad=1, upsample=2, silu=True)
+            for i in reversed(range(depth))
         )
         self.up_blocks = ModuleList(
             _CondBlock(2 * widths[i], widths[i], emb_dim, rng.split(f"ub{i}")) for i in reversed(range(depth))
@@ -240,15 +240,15 @@ class UNetDenoiser(DenoiserModel):
     def __call__(self, x: Tensor, t, y) -> Tensor:
         """Noise estimate for an NCHW batch; the convs run on (C, H, W, B) maps."""
         cond = self._cond(t, y)
-        h = silu(self.stem(permute(x, NCHW_TO_CHWB)))
+        h = self.stem(permute(x, NCHW_TO_CHWB))
         skips = []
         for block, down in zip(self.down_blocks, self.down_samplers):
             h = block(h, cond)
             skips.append(h)
-            h = silu(down(h))
+            h = down(h)
         h = self.mid(h, cond)
         for conv, block in zip(self.up_convs, self.up_blocks):
-            h = silu(conv(h))
+            h = conv(h)
             h = block(concat([h, skips.pop()], axis=0), cond)
         return permute(self.head(h), CHWB_TO_NCHW)
 

@@ -8,10 +8,13 @@ from .tensor import (
     Tensor,
     add_channel_bias,
     backward,
+    bce_with_logits,
     concat,
     conv2d,
     embedding,
+    linear,
     matmul,
+    mean_pool,
     no_grad,
     permute,
     silu,
@@ -31,9 +34,12 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
+    "linear",
     "conv2d",
     "silu",
     "softplus",
+    "bce_with_logits",
+    "mean_pool",
     "concat",
     "permute",
     "embedding",

@@ -97,7 +97,7 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    """Dense layer x @ w + b with He-scaled init."""
+    """Dense layer x @ w + b with He-scaled init, one ``T.linear`` node a call."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: RngStream, bias: bool = True):
         super().__init__()
@@ -112,21 +112,28 @@ class Linear(Module):
             self.b.reset(0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.w.tensor)
-        if self.b is not None:
-            out = out + self.b.tensor
-        return out
+        return T.linear(x, self.w.tensor, None if self.b is None else self.b.tensor)
 
 
 class Conv2d(Module):
-    """k x k convolution layer on (C, H, W, B) feature maps, with stride, pad
-    and upsample fixed at construction (``T.conv2d`` documents them).
+    """k x k convolution layer on (C, H, W, B) feature maps, with stride, pad,
+    upsample and silu fixed at construction (``T.conv2d`` documents them).
     ``upsample=2`` makes it a 3x3, pad-1 conv of the nearest-2x upsample of
-    its input, computed on the input itself; arguments ``conv2d`` would
+    its input, computed on the input itself; ``silu=True`` applies SiLU to
+    its biased output within the same tape node. Arguments ``conv2d`` would
     reject raise ``ShapeError`` here already."""
 
     def __init__(
-        self, cin: int, cout: int, k: int, rng: RngStream, stride: int = 1, pad: int = 0, bias: bool = True, upsample: int = 1
+        self,
+        cin: int,
+        cout: int,
+        k: int,
+        rng: RngStream,
+        stride: int = 1,
+        pad: int = 0,
+        bias: bool = True,
+        upsample: int = 1,
+        silu: bool = False,
     ):
         super().__init__()
         T.check_conv_args(k, k, stride, pad, upsample)
@@ -136,10 +143,11 @@ class Conv2d(Module):
         self.stride = stride
         self.pad = pad
         self.upsample = upsample
+        self.silu = silu
 
     def __call__(self, x: Tensor) -> Tensor:
         bias = None if self.b is None else self.b.tensor
-        return T.conv2d(x, self.w.tensor, bias, stride=self.stride, pad=self.pad, upsample=self.upsample)
+        return T.conv2d(x, self.w.tensor, bias, stride=self.stride, pad=self.pad, upsample=self.upsample, silu=self.silu)
 
 
 class Embedding(Module):

@@ -46,6 +46,22 @@ taps (16*Cout product rows), then shifted slices of the product summed per
 phase. A patch side would build 16*Cin patch rows, wider whenever
 Cout < Cin, as for every upsampling conv of this pipeline (decoder and UNet
 up path).
+
+A layer is one tape node. Each recorded op costs a finiteness scan, a
+``Tensor``, a backward closure and a gradient copy, and at these sizes that
+overhead is a large share of a training step. So ``conv2d(..., silu=True)``
+applies SiLU to the biased conv output, ``linear`` is a matmul plus bias,
+``mean_pool`` is global average pooling of (C, H, W, B) maps to (B, C) rows
+and ``bce_with_logits`` is a whole binary cross-entropy loss, each as one
+node. Each is bitwise the composition it replaces, in value and in every
+gradient: its forward runs the same numpy operations on the same operands,
+and its backward performs, in place where it can, the same IEEE operation
+on the same two operands at each step (operand order aside, which IEEE
+addition and multiplication ignore) and accumulates gradient terms in the
+order the unfused backward pass did. The fused conv checks only the
+activation for finiteness; a non-finite pre-activation still fails that
+check, since silu(+inf) = +inf, silu(-inf) = -inf * 0 = NaN and silu(NaN) =
+NaN.
 """
 
 from __future__ import annotations
@@ -64,9 +80,12 @@ __all__ = [
     "no_grad",
     "backward",
     "matmul",
+    "linear",
     "conv2d",
     "silu",
     "softplus",
+    "bce_with_logits",
+    "mean_pool",
     "concat",
     "permute",
     "embedding",
@@ -262,6 +281,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(value, "matmul", (a, b), back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer ``x @ w + b`` of (B, K) rows, (K, N) weights and an (N,)
+    bias, as one node: the values and gradients of ``matmul`` then ``+``."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear expects (B,K)@(K,N), got {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias must be ({w.shape[1]},), got {b.shape}")
+    value = x.data @ w.data
+    if b is not None:
+        value += b.data
+
+    def back(g):
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = x.data.T @ g
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=0))
+
+    return _make(value, "linear", (x, w) if b is None else (x, w, b), back)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -277,12 +315,24 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``g * (s * (1 + x * (1 - s)))``, the gradient of silu at ``x`` (``s`` its
+    sigmoid), built in one buffer: each step is the same IEEE operation on the
+    same two operands as in that expression, so the result is bitwise equal."""
+    t = np.subtract(1.0, s)
+    t *= x
+    t += 1.0
+    t *= s
+    t *= g
+    return t
+
+
 def silu(x: Tensor) -> Tensor:
     s = _sigmoid_np(x.data)
     value = x.data * s
 
     def back(g):
-        return (g * (s * (1.0 + x.data * (1.0 - s))),)
+        return (_silu_grad(g, x.data, s),)
 
     return _make(value, "silu", (x,), back)
 
@@ -295,6 +345,34 @@ def softplus(x: Tensor) -> Tensor:
         return (g * _sigmoid_np(x.data),)
 
     return _make(value, "softplus", (x,), back)
+
+
+def bce_with_logits(x: Tensor, y: np.ndarray, weight: np.ndarray | None = None) -> Tensor:
+    """Mean over rows of ``weight * (softplus(x) - x * y)``, the binary
+    cross-entropy of logits ``x`` against 0/1 labels ``y``, as one node.
+
+    Value and gradient are those of the composition ``softplus``, ``*``,
+    ``-``, ``*`` and ``mean``, bitwise: the gradient is accumulated in that
+    backward pass's order, ``(-g1) * y`` first and then ``+ g1 * sigmoid(x)``,
+    where ``g1`` is the mean's gradient (times ``weight`` when given).
+    """
+    if x.ndim != 1 or y.shape != x.shape or (weight is not None and weight.shape != x.shape):
+        raise ShapeError(f"bce_with_logits expects 1-D logits with labels and weights of their shape, got {x.shape}")
+    per_sample = np.logaddexp(0.0, x.data)
+    per_sample -= x.data * y
+    if weight is not None:
+        per_sample *= weight
+    scale = 1.0 / x.size
+
+    def back(g):
+        g1 = np.full(x.shape, float(g.reshape(-1)[0]) * scale)
+        if weight is not None:
+            g1 *= weight
+        gx = np.negative(g1) * y
+        gx += g1 * _sigmoid_np(x.data)
+        return (gx,)
+
+    return _make(np.asarray(per_sample.mean()), "bce_with_logits", (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +394,22 @@ def _reduce(x: Tensor, axis: int | None, kind: str) -> Tensor:
             return (np.broadcast_to(np.expand_dims(g, axis), x.shape) * scale,)
 
     return _make(np.asarray(value), kind, (x,), back)
+
+
+def mean_pool(x: Tensor) -> Tensor:
+    """(B, C) spatial means of (C, H, W, B) feature maps (global average pooling),
+    as one node with the values and gradients of reshape, ``mean(axis=1)``
+    and ``permute``."""
+    if x.ndim != 4:
+        raise ShapeError(f"mean_pool expects (C,H,W,B) feature maps, got {x.shape}")
+    C, H, W, B = x.shape
+    value = x.data.reshape(C, H * W, B).mean(axis=1).T
+    scale = 1.0 / (H * W)
+
+    def back(g):
+        return ((np.broadcast_to(g.T[:, None, :], (C, H * W, B)) * scale).reshape(x.shape),)
+
+    return _make(value, "mean_pool", (x,), back)
 
 
 def _reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -387,6 +481,20 @@ def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _conv_node(out: np.ndarray, inputs: tuple, back, silu: bool) -> Tensor:
+    """Record a conv's biased output ``out``, or with ``silu`` its activation:
+    then the node's backward turns the activation's gradient into ``out``'s
+    (``_silu_grad``) and hands it to the conv's own ``back``."""
+    if not silu:
+        return _make(out, "conv2d", inputs, back)
+    s = _sigmoid_np(out)
+
+    def fused_back(g):
+        return back(_silu_grad(g, out, s))
+
+    return _make(out * s, "conv2d+silu", inputs, fused_back)
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
     """Patch matrix (C*kh*kw, hout*wout*B) of a padded (C, Hp, Wp, B) input.
 
@@ -425,7 +533,13 @@ def check_conv_args(kh: int, kw: int, stride: int, pad: int, upsample: int) -> N
 
 
 def conv2d(
-    x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0, upsample: int = 1
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor | None = None,
+    stride: int = 1,
+    pad: int = 0,
+    upsample: int = 1,
+    silu: bool = False,
 ) -> Tensor:
     """2-D convolution of (Cin,H,W,B) with kernels (Cout,Cin,KH,KW) to (Cout,hout,wout,B).
 
@@ -456,6 +570,11 @@ def conv2d(
     gradient are then one GEMM each. Arguments outside these forms raise
     ``ShapeError``: ``stride < 1``, ``pad < 0``, or an ``upsample`` other
     than 1 or 2.
+
+    ``silu=True`` returns ``silu`` of the biased output from the same one
+    node, bitwise equal to ``silu(conv2d(...))`` in value and in every
+    gradient; only the activation is checked for finiteness (see the module
+    docstring). It works on every path above.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -472,7 +591,7 @@ def conv2d(
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
 
     if upsample == 2:
-        return _upsampled_conv(x, w, bias)
+        return _upsampled_conv(x, w, bias, silu)
 
     Hp, Wp = H + 2 * pad, W + 2 * pad
     output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
@@ -524,8 +643,7 @@ def conv2d(
             return gx, gw
         return gx, gw, g.sum(axis=(1, 2, 3))
 
-    inputs = (x, w, bias) if bias is not None else (x, w)
-    return _make(out, "conv2d", inputs, back)
+    return _conv_node(out, (x, w) if bias is None else (x, w, bias), back, silu)
 
 
 # Row (a, t) of _FOLD sums the taps of one 3-tap kernel axis that tap t of
@@ -564,8 +682,8 @@ def _fold_kernel(w: np.ndarray) -> np.ndarray:
     return (w.reshape(Cout * Cin, 9) @ _FOLD_2D.T).reshape(Cout, Cin, 2, 2, 2, 2)
 
 
-def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
-    """``conv2d(x, w, bias, pad=1, upsample=2)``, computed per output phase on x."""
+def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, silu: bool) -> Tensor:
+    """``conv2d(x, w, bias, pad=1, upsample=2, silu=silu)``, computed per output phase on x."""
     Cin, H, W, B = x.shape
     Cout = w.shape[0]
     x2 = x.data.reshape(Cin, H * W * B)
@@ -594,5 +712,4 @@ def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None) -> Tensor:
             return gx, gw
         return gx, gw, g.sum(axis=(1, 2, 3))
 
-    inputs = (x, w, bias) if bias is not None else (x, w)
-    return _make(out, "conv2d", inputs, back)
+    return _conv_node(out, (x, w) if bias is None else (x, w, bias), back, silu)

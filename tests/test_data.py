@@ -56,6 +56,48 @@ def test_generate_values_in_unit_interval():
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
+def _render_by_expression(cfg, truth):
+    """The surrogate's noise-free pixels as one whole-array expression (the
+    rendering's reference; ``generate_synth_fundus`` computes them in place)."""
+    ys, xs = np.mgrid[0 : cfg.image_size, 0 : cfg.image_size] + 0.5
+    cx, cy, r_disc = truth["cx"][:, None, None], truth["cy"][:, None, None], truth["disc_radius"][:, None, None]
+    d = np.sqrt((xs - cx) ** 2 + (ys - cy) ** 2)
+
+    def soft(edge_r):
+        return np.clip(0.5 + (edge_r - d) / cfg.edge_width, 0.0, 1.0)
+
+    img = cfg.bg_level + (cfg.disc_level - cfg.bg_level) * soft(r_disc)
+    img += (cfg.cup_level - cfg.disc_level) * soft(truth["cup_ratio"][:, None, None] * r_disc)
+    return img
+
+
+@pytest.mark.parametrize(
+    "cfg,counts",
+    [
+        pytest.param(SynthFundusConfig(seed=4), (30, 7), id="default"),
+        pytest.param(SynthFundusConfig(image_size=20, edge_width=0.7, noise_sd=0.3, seed=5), (9, 12), id="wide-noisy"),
+    ],
+)
+def test_generated_images_are_bitwise_the_rendering_expression(cfg, counts):
+    ds = generate_synth_fundus(cfg, *counts)
+    # the pixel noise is the stream's sixth draw, after radii, two ratio draws and two centre offsets
+    stream = RngStream(RngStream(cfg.seed).split("synth-fundus").seed, counter=5)
+    noise = stream.normal((len(ds), cfg.image_size, cfg.image_size), 0.0, cfg.noise_sd)
+    expected = np.clip(_render_by_expression(cfg, ds.truth) + noise, 0.0, 1.0)[:, None]
+    assert np.array_equal(ds.images, expected)
+
+
+def test_generation_peak_memory_is_about_two_images():
+    tracemalloc.start()
+    try:
+        ds = generate_synth_fundus(SynthFundusConfig(), 2000, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the distance and image buffers, then the image and its noise (4.2x with whole-array temporaries)
+    assert peak <= 3.1 * ds.images.nbytes
+
+
 def test_threshold_rule_on_measured_ratio():
     cfg = SynthFundusConfig(noise_sd=0.02, seed=3)
     ds = generate_synth_fundus(cfg, 300, 300)

@@ -28,12 +28,16 @@ from diffupt.numcore import (
     concat,
     conv2d,
     embedding,
+    linear,
     matmul,
+    mean_pool,
     no_grad,
     permute,
     silu,
     softplus,
 )
+from diffupt.classifier import ClassifierModel, bce_loss
+from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule
 from diffupt.numcore import tensor as tops
 
 
@@ -395,6 +399,179 @@ def test_layout_ops_match_numpy_and_finite_differences(op):
 def test_add_channel_bias_rejects_a_channel_first_bias():
     with pytest.raises(ShapeError):
         add_channel_bias(Tensor(np.zeros((3, 2, 2, 5))), Tensor(np.zeros((3, 5))))
+
+
+# ---------------------------------------------------------------------------
+# fused layer ops: each is bitwise the composition of ops it replaces
+# ---------------------------------------------------------------------------
+
+
+# (Cin, Cout, stride, upsample) of the four conv paths at pad 1 on a 6x4 map:
+# 2->3 builds the patch matrix, 4->1 takes the output side
+CONV_PATHS = [
+    pytest.param(2, 3, 1, 1, id="patch_side"),
+    pytest.param(4, 1, 1, 1, id="output_side"),
+    pytest.param(2, 3, 2, 1, id="stride2"),
+    pytest.param(2, 3, 1, 2, id="upsample2"),
+]
+
+
+def _fused_conv_case(cin, cout, stride, upsample, with_bias, x_grad, seed):
+    """Inputs of one conv on an odd batch (B=5) of non-square (6x4) maps, and an output weighting."""
+    rng = RngStream(seed)
+    x = Tensor(rng.normal((cin, 6, 4, 5)), requires_grad=x_grad)
+    w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
+    hout, wout = (12, 8) if upsample == 2 else (6 // stride, 4 // stride)
+    r = Tensor(rng.normal((cout, hout, wout, 5)))
+    return x, w, b, r
+
+
+def _values_and_grads(forward, inputs, r):
+    """The value of ``forward()`` and the gradient of sum(value * r) with respect to each input."""
+    for t in inputs:
+        t.grad = None
+    out = forward()
+    backward((out * r).sum())
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("cin,cout,stride,upsample", CONV_PATHS)
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_fused_conv_silu_is_bitwise_silu_of_conv(cin, cout, stride, upsample, with_bias, x_grad):
+    x, w, b, r = _fused_conv_case(cin, cout, stride, upsample, with_bias, x_grad, 700 + 8 * cin + stride + upsample)
+    inputs = [t for t in (x, w, b) if t is not None and t.requires_grad]
+    kwargs = {"stride": stride, "pad": 1, "upsample": upsample}
+    fused = _values_and_grads(lambda: conv2d(x, w, b, silu=True, **kwargs), inputs, r)
+    composed = _values_and_grads(lambda: silu(conv2d(x, w, b, **kwargs)), inputs, r)
+    assert (x.grad is not None) == x_grad
+    for ours, ref in zip(fused, composed):
+        assert np.array_equal(ours, ref)
+
+
+@pytest.mark.parametrize("cin,cout,stride,upsample", CONV_PATHS)
+def test_fused_conv_silu_gradients_match_finite_differences(cin, cout, stride, upsample):
+    x, w, b, r = _fused_conv_case(cin, cout, stride, upsample, True, True, 800 + 8 * cin + stride + upsample)
+
+    def loss():
+        return (conv2d(x, w, b, stride=stride, pad=1, upsample=upsample, silu=True) * r).sum()
+
+    backward(loss())
+    for t in (x, w, b):
+        assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("cin,cout,stride,upsample", CONV_PATHS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+def test_fused_conv_raises_on_a_non_finite_pre_activation(cin, cout, stride, upsample, bad):
+    # silu(+inf) = +inf, silu(-inf) = -inf * 0 = NaN and silu(NaN) = NaN: the one check sees each
+    x, w, b, _ = _fused_conv_case(cin, cout, stride, upsample, True, False, 900)
+    b.data[0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+        conv2d(x, w, b, stride=stride, pad=1, upsample=upsample, silu=True)
+
+
+def test_silu_gradient_is_bitwise_the_expression():
+    rng = RngStream(31)
+    x = Tensor(rng.normal((7, 3)) * 4.0, requires_grad=True)
+    g = rng.normal((7, 3))
+    backward((silu(x) * Tensor(g)).sum())
+    s = tops._sigmoid_np(x.data)
+    assert np.array_equal(x.grad, g * (s * (1.0 + x.data * (1.0 - s))))
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_linear_is_bitwise_matmul_plus_bias(with_bias, x_grad):
+    rng = RngStream(40 + 2 * with_bias + x_grad)
+    x = Tensor(rng.normal((5, 4)), requires_grad=x_grad)
+    w = Tensor(rng.normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.normal((3,)), requires_grad=True) if with_bias else None
+    r = Tensor(rng.normal((5, 3)))
+    inputs = [t for t in (x, w, b) if t is not None and t.requires_grad]
+
+    def composed():
+        out = matmul(x, w)
+        return out + b if with_bias else out
+
+    fused = _values_and_grads(lambda: linear(x, w, b), inputs, r)
+    for ours, ref in zip(fused, _values_and_grads(composed, inputs, r)):
+        assert np.array_equal(ours, ref)
+    for t in inputs:
+        t.grad = None
+    backward((linear(x, w, b) * r).sum())
+    for t in inputs:
+        assert np.allclose(t.grad, central_difference(lambda: (linear(x, w, b) * r).sum(), t), rtol=1e-6, atol=1e-7)
+
+
+def test_linear_rejects_a_mismatched_bias():
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
+
+
+def test_mean_pool_is_bitwise_reshape_mean_permute():
+    rng = RngStream(50)
+    x = Tensor(rng.normal((3, 6, 4, 5)), requires_grad=True)  # (C, H, W, B), non-square, odd B
+    r = Tensor(rng.normal((5, 3)))
+
+    def composed():
+        return permute(x.reshape(3, -1, 5).mean(axis=1), (1, 0))
+
+    fused = _values_and_grads(lambda: mean_pool(x), [x], r)
+    for ours, ref in zip(fused, _values_and_grads(composed, [x], r)):
+        assert np.array_equal(ours, ref)
+    x.grad = None
+    backward((mean_pool(x) * r).sum())
+    assert np.allclose(x.grad, central_difference(lambda: (mean_pool(x) * r).sum(), x), rtol=1e-6, atol=1e-7)
+
+
+def _softplus_bce(logits, y, weights):
+    """``classifier.bce_loss`` as five ops, the unfused oracle of its one node."""
+    per_sample = softplus(logits) - logits * Tensor(y)
+    if weights is not None:
+        per_sample = per_sample * Tensor(np.where(y == 1, weights[1], weights[0]))
+    return per_sample.mean()
+
+
+@pytest.mark.parametrize("weights", [None, (0.6, 3.0)], ids=["unweighted", "weighted"])
+def test_bce_loss_is_bitwise_the_softplus_composition(weights):
+    rng = RngStream(60)
+    logits = Tensor(rng.normal((7,)) * 3.0, requires_grad=True)
+    y = (rng.uniform((7,)) < 0.4).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    fused = bce_loss(logits, y, weights)
+    backward(fused)
+    ours, logits.grad = logits.grad, None
+    composed = _softplus_bce(logits, y, weights)
+    backward(composed)
+    assert fused.shape == composed.shape
+    assert np.array_equal(fused.data, composed.data)
+    assert np.array_equal(ours, logits.grad)
+    logits.grad = None
+    backward(bce_loss(logits, y, weights))
+    assert np.allclose(logits.grad, central_difference(lambda: bce_loss(logits, y, weights), logits), rtol=1e-6, atol=1e-8)
+
+
+def _tape_nodes(loss_fn):
+    """Nodes one loss records on the tape (the tape is then cleared by its backward)."""
+    before = len(tops._TAPE.nodes)
+    loss = loss_fn()
+    recorded = len(tops._TAPE.nodes) - before
+    backward(loss)
+    return recorded
+
+
+def test_one_tape_node_per_layer():
+    # classifier: 3 convs, the pool, the head, the logits' reshape and the loss (16 unfused)
+    rng = RngStream(70)
+    model = ClassifierModel((1, 16, 16), rng.split("model"))
+    x, y = rng.uniform((6, 1, 16, 16)), np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    assert _tape_nodes(lambda: bce_loss(model.logits_t(Tensor(x)), y, (0.6, 3.0))) <= 7
+    # depth-1 UNet as in the pipeline (38 unfused)
+    unet = UNetDenoiser((4, 4, 4), 16, rng.split("unet"), emb_dim=32)
+    batch = rng.normal((6, 4, 4, 4))
+    assert _tape_nodes(lambda: diffusion_loss(unet, batch, np.arange(6) % 2, linear_schedule(50), rng)) <= 25
 
 
 # ---------------------------------------------------------------------------
