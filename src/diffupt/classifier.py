@@ -28,10 +28,15 @@ from .numcore import (
     adam_step,
     backward,
     bce_with_logits,
+    in_row_blocks,
     mean_pool,
-    no_grad,
     permute,
 )
+
+
+# Rows per network pass in predict_proba and extract_features (``in_row_blocks``
+# gives the per-row bytes).
+CLASSIFIER_PASS_ROWS = 128
 
 
 class ClassifierModel(Module):
@@ -74,12 +79,10 @@ class ClassifierModel(Module):
         return self.head(self.features_t(x)).reshape(-1)
 
     def extract_features(self, images: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.features_t(Tensor(np.asarray(images, dtype=np.float64))).data
+        return in_row_blocks(self.features_t, CLASSIFIER_PASS_ROWS, np.asarray(images, dtype=np.float64))
 
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        with no_grad():
-            logits = self.logits_t(Tensor(np.asarray(images, dtype=np.float64))).data
+        logits = in_row_blocks(self.logits_t, CLASSIFIER_PASS_ROWS, np.asarray(images, dtype=np.float64))
         return nc.tensor._sigmoid_np(logits)
 
     def reinit_head(self, rng: RngStream) -> None:

@@ -31,7 +31,7 @@ from .numcore import (
     add_channel_bias,
     backward,
     concat,
-    no_grad,
+    in_row_blocks,
     permute,
     silu,
 )
@@ -136,6 +136,11 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
+# Rows per network pass in ``DenoiserModel.predict`` (``in_row_blocks`` gives
+# the per-row bytes); the sampler's update and RNG draws stay whole-batch.
+DENOISER_PASS_ROWS = 128
+
+
 class DenoiserModel(Module):
     """Base: noise predictor conditioned on timestep and class token."""
 
@@ -146,8 +151,7 @@ class DenoiserModel(Module):
         raise NotImplementedError
 
     def predict(self, x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self(Tensor(x), t, y).data
+        return in_row_blocks(self, DENOISER_PASS_ROWS, x, t, y)
 
     def _cond(self, t: np.ndarray, y: np.ndarray) -> Tensor:
         emb = Tensor(sinusoidal_embedding(t, self.emb_dim))

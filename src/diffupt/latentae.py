@@ -26,7 +26,7 @@ from .numcore import (
     Tensor,
     adam_step,
     backward,
-    no_grad,
+    in_row_blocks,
     permute,
 )
 
@@ -63,18 +63,8 @@ class Autoencoder(Module):
         return permute(self.out(h), CHWB_TO_NCHW)
 
 
-# Rows per network pass in encode/decode. A pass's conv buffers grow with its
-# rows (dec2's output-side product alone is 115 KB a row, 52 MB for the 454-row
-# reconstruction report); 64 rows bound them to a few MB, and the conv GEMMs
-# are no slower at that width. Rows are independent, so the output is the same.
+# Rows per network pass in encode/decode (``in_row_blocks`` gives the per-row bytes).
 AE_PASS_ROWS = 64
-
-
-def _in_passes(net, x: np.ndarray) -> np.ndarray:
-    """``net`` over ``x`` in passes of at most ``AE_PASS_ROWS`` rows, without gradients."""
-    starts = range(0, max(len(x), 1), AE_PASS_ROWS)  # one pass for no rows keeps the empty output's shape
-    with no_grad():
-        return np.concatenate([net(Tensor(x[i : i + AE_PASS_ROWS])).data for i in starts])
 
 
 def encode(ae: Autoencoder, images: np.ndarray, normalized: bool = False) -> np.ndarray:
@@ -82,7 +72,7 @@ def encode(ae: Autoencoder, images: np.ndarray, normalized: bool = False) -> np.
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != ae.image_shape:
         raise ShapeError(f"expected images shaped (N,{ae.image_shape}), got {images.shape}")
-    z = _in_passes(ae.encode_t, images)
+    z = in_row_blocks(ae.encode_t, AE_PASS_ROWS, images)
     return whiten(ae, z) if normalized else z
 
 
@@ -98,7 +88,7 @@ def decode(ae: Autoencoder, z: np.ndarray, normalized: bool = False) -> np.ndarr
         raise ShapeError(f"expected latents shaped (N,{ae.latent_shape}), got {z.shape}")
     if normalized:
         z = z * ae.latent_scale[:, None, None] + ae.latent_shift[:, None, None]
-    return _in_passes(ae.decode_t, z)
+    return in_row_blocks(ae.decode_t, AE_PASS_ROWS, z)
 
 
 def calibrate_latents(ae: Autoencoder, z: np.ndarray) -> None:

@@ -23,7 +23,7 @@ from .tensor import (
 from .heap import retain_freed_memory
 from .rng import RngStream
 from .optim import MissingGradError, Parameter, adam_step
-from .nn import Conv2d, Embedding, Linear, Module, ModuleList
+from .nn import Conv2d, Embedding, Linear, Module, ModuleList, in_row_blocks
 
 __all__ = [
     "NCHW_TO_CHWB",
@@ -32,6 +32,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "no_grad",
+    "in_row_blocks",
     "backward",
     "matmul",
     "linear",

@@ -19,8 +19,12 @@ import ctypes
 # glibc's mallopt parameter numbers
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-# where glibc's own rule ends once it has freed a block of its 32 MB maximum:
-# a sampling step's patch matrices at 250 rows are about 9 MB each
+# where glibc's own rule ends once it has freed a block of its 32 MB maximum.
+# Network passes run in row blocks (``nn.in_row_blocks``), so no pass's buffers
+# grow with its rows: a whole 128-row denoiser pass peaks at 6.7 MB and a
+# batch-32 UNet training step at 8.1 MB (tracemalloc). The threshold keeps all
+# of those on the heap, and the arrays that grow with the data too
+# (2,400 16x16 images are 4.9 MB).
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 

@@ -74,6 +74,61 @@ class Module:
         return b"".join(arr.astype("<f8").tobytes() for arr in arrays)
 
 
+# rows a block of ``in_row_blocks`` comes in multiples of, and the fewest its last block may have
+BLOCK_ROW_STEP = 8
+
+
+def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
+    """``net(Tensor(x), *per_row).data`` without gradients, computed over
+    blocks of ``block_rows`` rows and concatenated along the rows.
+
+    Every input is cut at the same rows: at every multiple of
+    ``block_rows`` (itself a multiple of ``BLOCK_ROW_STEP``), except that a
+    last block under ``BLOCK_ROW_STEP`` rows joins the block before it. A
+    pass's buffers (each conv's patch matrix or output-side product, each
+    activation) grow with its rows, so blocking bounds a pass's memory by
+    its block, whatever the row count.
+
+    Rows are independent in every network here: convs, pooling and dense
+    layers sum over channels, taps and pixels, never over rows. What can
+    change with the row count is the order of a row's sums, and the cuts
+    avoid it where a whole pass avoids it too:
+    - OpenBLAS's x86-64 dgemm computes product columns 8 at a time; for
+      some column counts it computes the last 1-4 columns with a narrower
+      kernel that rounds differently. A conv's GEMM has a column per
+      position and row, rows innermost. A block of a multiple of 8 rows
+      leaves no such tail, and neither does a whole pass in which every
+      GEMM has a multiple of 8 columns: any row count for the classifier
+      and the autoencoder (16 positions or more), an even one for the
+      UNet, whose 2x2 level has 4. An odd-sized UNet pass can put its last
+      rows through that kernel, so those rows of its blocks can differ from
+      it in the last bits.
+    - numpy multiplies a one-row matrix with its vector routine and sums a
+      one-row pool pairwise; only a one-row pass has a one-row block.
+    Under those conditions each block's outputs are bitwise those rows of
+    one pass over all rows.
+
+    Each model sets its block from its per-row bytes, the tracemalloc peak
+    of one pass at the pipeline's sizes divided by its rows: the latent
+    UNet's ``DenoiserModel.predict`` (52 KB a row) and the classifier's
+    ``predict_proba`` and ``extract_features`` (27 KB) take 128 rows, 6.7
+    and 3.4 MB a block; the autoencoder's ``encode`` (40 KB) and ``decode``
+    (47 KB) take 64, 2.5 and 3.0 MB. 64-row blocks ran the denoiser slower
+    than one pass; 128-row blocks did not. No rows make one empty pass, so
+    the output keeps its shape.
+    """
+    if block_rows < 1 or block_rows % BLOCK_ROW_STEP:
+        raise ValueError(f"block_rows must be a positive multiple of {BLOCK_ROW_STEP}, got {block_rows}")
+    n = len(x)
+    cuts = [*range(0, n, block_rows), n] if n else [0, 0]
+    if len(cuts) > 2 and n - cuts[-2] < BLOCK_ROW_STEP:
+        del cuts[-2]
+    with T.no_grad():
+        return np.concatenate(
+            [net(Tensor(x[a:b]), *(r[a:b] for r in per_row)).data for a, b in zip(cuts, cuts[1:])]
+        )
+
+
 class ModuleList(Module):
     def __init__(self, mods=()):
         super().__init__()

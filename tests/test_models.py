@@ -1,4 +1,4 @@
-"""Model tests: chunked autoencoder passes, decoupled head retraining, the
+"""Model tests: network passes in row blocks, decoupled head retraining, the
 packed parameter buffer and fused Adam, non-finite weights."""
 
 import tracemalloc
@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from diffupt import classifier as C
+from diffupt import diffusion as D
+from diffupt import latentae as L
 from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
 from diffupt.data import SynthFundusConfig, generate_synth_fundus
 from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
 from diffupt.latentae import Autoencoder, decode, encode
 from diffupt.numcore import Linear, NonFiniteError, RngStream, ShapeError, Tensor, adam_step, backward, no_grad
+from diffupt.numcore.nn import BLOCK_ROW_STEP, in_row_blocks
+from diffupt.numcore.tensor import _sigmoid_np
 from diffupt.numcore.optim import _runs
 from test_numcore import conv2d_bruteforce
 
@@ -35,7 +39,104 @@ def test_decode_runs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6  # one 454-row pass peaks near 77 MB
+    assert peak < 24e6  # one 454-row pass peaks near 21 MB, 64-row blocks near 3 MB
+
+
+def _one_pass(net, x, *per_row):
+    """The oracle: ``net`` called once on every row, without gradients."""
+    with no_grad():
+        return net(Tensor(x), *per_row).data
+
+
+def _denoiser_pass(rows, model=None):
+    model = model or _randomized(_unet(3))
+    rng = RngStream(rows)
+    x, t, y = rng.normal((rows, 4, 4, 4)), rng.integers((rows,), 1, 51), rng.integers((rows,), 0, 3)
+    return lambda: model.predict(x, t, y), lambda: _one_pass(model, x, t, y)
+
+
+def _classifier_pass(rows, model=None):
+    model = model or _randomized(_classifier(3))
+    x = RngStream(rows).uniform((rows, 1, 16, 16))
+    return lambda: model.predict_proba(x), lambda: _sigmoid_np(_one_pass(model.logits_t, x))
+
+
+def _features_pass(rows):
+    model = _randomized(_classifier(3))
+    x = RngStream(rows).uniform((rows, 1, 16, 16))
+    return lambda: model.extract_features(x), lambda: _one_pass(model.features_t, x)
+
+
+def _encode_pass(rows):
+    ae = _randomized(_autoencoder(3))
+    x = RngStream(rows).uniform((rows, 1, 16, 16))
+    return lambda: encode(ae, x), lambda: _one_pass(ae.encode_t, x)
+
+
+def _decode_pass(rows):
+    ae = _randomized(_autoencoder(3))
+    z = RngStream(rows).normal((rows, 4, 4, 4))
+    return lambda: decode(ae, z), lambda: _one_pass(ae.decode_t, z)
+
+
+# path: (module holding its row constant, the constant, (blocked call, one-pass oracle) for n rows)
+BLOCKED_PASSES = {
+    "denoiser.predict": (D, "DENOISER_PASS_ROWS", _denoiser_pass),
+    "predict_proba": (C, "CLASSIFIER_PASS_ROWS", _classifier_pass),
+    "extract_features": (C, "CLASSIFIER_PASS_ROWS", _features_pass),
+    "encode": (L, "AE_PASS_ROWS", _encode_pass),
+    "decode": (L, "AE_PASS_ROWS", _decode_pass),
+}
+
+
+# none; part of a block; one; one and a row, which joins it; two, and two and part of a third
+ANY_ROWS = (0, 1, 2, 7, 8, 9, 16, 17, 21, 26)
+# the UNet's 2x2 level gives a GEMM 4 columns a row, and an odd-sized whole pass can
+# put its last columns through OpenBLAS's narrower tail kernel (see ``in_row_blocks``)
+EVEN_ROWS = (0, 2, 6, 8, 10, 16, 18, 26)
+
+
+@pytest.mark.parametrize(
+    "path, rows",
+    [(path, rows) for path in BLOCKED_PASSES for rows in (EVEN_ROWS if path == "denoiser.predict" else ANY_ROWS)],
+)
+def test_passes_in_row_blocks_equal_one_pass_bitwise(path, rows, monkeypatch):
+    module, constant, make = BLOCKED_PASSES[path]
+    monkeypatch.setattr(module, constant, BLOCK_ROW_STEP)  # the smallest block
+    blocked, one_pass = make(rows)
+    out, oracle = blocked(), one_pass()
+    assert out.shape == oracle.shape and out.shape[0] == rows
+    assert np.array_equal(out, oracle)
+
+
+@pytest.mark.parametrize("block_rows", [0, 3, 12])
+def test_row_blocks_come_in_multiples_of_the_step(block_rows):
+    with pytest.raises(ValueError, match="multiple"):
+        in_row_blocks(lambda x: x, block_rows, np.zeros((20, 2)))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "path, make",
+    [
+        ("denoiser.predict", lambda rows: _denoiser_pass(rows, UNetDenoiser((4, 4, 4), 16, RngStream(3), emb_dim=32))),
+        ("predict_proba", lambda rows: _classifier_pass(rows, ClassifierModel((1, 16, 16), RngStream(3)))),
+    ],
+)
+def test_pass_peak_memory_does_not_grow_with_its_rows(path, make):
+    # the pipeline's model sizes; a one-pass peak would grow eightfold
+    module, constant, _ = BLOCKED_PASSES[path]
+    block = getattr(module, constant)
+    one_block, eight_blocks = (_peak_bytes(make(rows)[0]) for rows in (block, 8 * block))
+    assert eight_blocks <= 1.3 * one_block
 
 
 def _stage_one():
