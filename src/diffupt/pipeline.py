@@ -270,6 +270,7 @@ class GenerativeStack:
     denoiser: DenoiserModel
     sched: NoiseSchedule
     ae_report: ReconstructionReport | None = None
+    unet_losses: np.ndarray | None = None  # the denoiser's per-iteration training loss
 
     @property
     def image_shape(self) -> tuple[int, ...]:
@@ -292,8 +293,8 @@ def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngS
     ae_report = calibrate_and_report(ae, train_ds.images, z, trained=cfg.ae.iterations > 0)
     sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
-    train_diffusion(denoiser, whiten(ae, z), train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
-    return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched, ae_report=ae_report)
+    losses = train_diffusion(denoiser, whiten(ae, z), train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
+    return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched, ae_report=ae_report, unet_losses=losses)
 
 
 @dataclass

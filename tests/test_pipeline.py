@@ -201,10 +201,20 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
     sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
     latents = encode(ae, ds.images, normalized=True)
-    train_diffusion(denoiser, latents, ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
+    losses = train_diffusion(denoiser, latents, ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
     assert stack.ae.weight_bytes() == ae.weight_bytes()  # the latent shift and scale buffers included
     assert repr(stack.ae_report.rows) == repr(rows)
     assert stack.denoiser.weight_bytes() == denoiser.weight_bytes()
+    assert np.array_equal(stack.unet_losses, losses)
+
+
+@pytest.mark.parametrize("iterations", [0, 3])
+def test_stack_keeps_one_unet_loss_per_training_iteration(iterations):
+    ds = generate_synth_fundus(SynthFundusConfig(seed=3), 30, 10)
+    cfg = P.StackConfig(ae=AeTrainConfig(iterations=1), diffusion=DiffusionTrainConfig(iterations=iterations, batch=8))
+    stack = P.train_generative_stack(ds, cfg, RngStream(5))
+    assert stack.unet_losses.shape == (iterations,)
+    assert np.all(np.isfinite(stack.unet_losses)) and np.all(stack.unet_losses > 0)
 
 
 def test_sampling_peak_memory_does_not_grow_with_the_batch():
