@@ -53,6 +53,12 @@ class Module:
             raise RuntimeError(f"{type(self).__name__} has not packed its parameters")
         return self._parameter_buffer
 
+    def reset_optimizer_state(self) -> None:
+        """Zero every parameter's Adam moments and step count; the values stay."""
+        self.parameter_buffer[1:] = 0.0
+        for p in self.parameters():
+            p.step_count = 0
+
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 

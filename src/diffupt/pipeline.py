@@ -525,6 +525,8 @@ def _diffupt_after(
     if len(synthetic):
         train_classifier(model, synthetic, cfg.pretrain, rng.split("pretrain"), val_ds=splits.val)
     pretrain_val = _evaluate(model, splits.val)
+    # fine-tuning is a new stage at a new lr: it starts from the pretrained values, not pretraining's Adam state
+    model.reset_optimizer_state()
     train_classifier(model, splits.train, cfg.finetune, rng.split("finetune"), val_ds=splits.val)
 
     return DiffuPTResult(

@@ -37,6 +37,28 @@ def test_diffupt_run_with_given_synthetic_reports_kept_as_neg_pos():
     assert res.generation_stats.kept == (30, 10)
 
 
+
+def test_finetune_starts_with_fresh_optimizer_state(monkeypatch):
+    cfg = P.DiffuPTConfig(
+        pretrain=TrainRegime(iterations=3, batch=8, lr=1e-3, eval_every=1),
+        finetune=TrainRegime(iterations=2, batch=8, lr=1e-4),
+    )
+    ctx = P.ExperimentContext(regime=TrainRegime(iterations=1, batch=8), diffupt_cfg=cfg)
+    seen, train = [], P.train_classifier
+
+    def recording(model, ds, regime, rng, **kw):
+        buffer = model.parameter_buffer
+        seen.append((regime, buffer[0].copy(), buffer[1:].any(), {p.step_count for p in model.parameters()}))
+        return train(model, ds, regime, rng, **kw)
+
+    monkeypatch.setattr(P, "train_classifier", recording)
+    synthetic = generate_synth_fundus(SynthFundusConfig(seed=7), 30, 10)
+    res = P.diffupt_run(_tiny_splits(), cfg, RngStream(0), ctx=ctx, synthetic=synthetic)
+    (pretrain, *_), (finetune, values, moments, steps) = seen[-2:]  # after the baseline's
+    assert pretrain is cfg.pretrain and finetune is cfg.finetune
+    assert not moments and steps == {0}  # no Adam moments or step count carried over from pretraining
+    assert res.model.trained and not np.array_equal(values, res.model.parameter_buffer[0])
+
 # ---------------------------------------------------------------------------
 # tiny end-to-end experiments: every method and ablation, rerun bitwise
 # ---------------------------------------------------------------------------
