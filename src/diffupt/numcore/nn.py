@@ -102,13 +102,13 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     - OpenBLAS's x86-64 dgemm computes product columns 8 at a time; for
       some column counts it computes the last 1-4 columns with a narrower
       kernel that rounds differently. A conv's GEMM has a column per
-      position and row, rows innermost. A block of a multiple of 8 rows
-      leaves no such tail, and neither does a whole pass in which every
-      GEMM has a multiple of 8 columns: any row count for the classifier
-      and the autoencoder (16 positions or more), an even one for the
-      UNet, whose 2x2 level has 4. An odd-sized UNet pass can put its last
-      rows through that kernel, so those rows of its blocks can differ from
-      it in the last bits.
+      position and row, rows innermost, so blocks of a multiple of 8 rows
+      leave no such tail, and the last block leaves none wherever every
+      GEMM of the whole pass has a multiple of 8 columns: at any row count
+      for the classifier and the autoencoder (16 positions or more), at an
+      even one for the UNet, whose 2x2 level has 4. An odd-sized UNet pass
+      can put its last rows through the narrower kernel, and then those
+      rows of the blocks differ from it in the last bits.
     - numpy multiplies a one-row matrix with its vector routine and sums a
       one-row pool pairwise; only a one-row pass has a one-row block.
     Under those conditions each block's outputs are bitwise those rows of
@@ -119,9 +119,10 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     UNet's ``DenoiserModel.predict`` (52 KB a row) and the classifier's
     ``predict_proba`` and ``extract_features`` (27 KB) take 128 rows, 6.7
     and 3.4 MB a block; the autoencoder's ``encode`` (40 KB) and ``decode``
-    (47 KB) take 64, 2.5 and 3.0 MB. 64-row blocks ran the denoiser slower
-    than one pass; 128-row blocks did not. No rows make one empty pass, so
-    the output keeps its shape.
+    (47 KB) take 64, 2.5 and 3.0 MB. A 250-row denoiser pass took 3% longer
+    in 128-row blocks than in one pass, and 14% longer in 64-row blocks
+    (medians of 30 alternating repeats, one BLAS thread, 2-vCPU x86-64). No rows make one empty pass, so the output keeps its
+    shape.
     """
     if block_rows < 1 or block_rows % BLOCK_ROW_STEP:
         raise ValueError(f"block_rows must be a positive multiple of {BLOCK_ROW_STEP}, got {block_rows}")
