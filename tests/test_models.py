@@ -89,7 +89,7 @@ BLOCKED_PASSES = {
 }
 
 
-# none; part of a block; one; one and a row, which joins it; two, and two and part of a third
+# none, under one block, one block, and counts whose short last part joins the block before it
 ANY_ROWS = (0, 1, 2, 7, 8, 9, 16, 17, 21, 26)
 # the UNet's 2x2 level gives a GEMM 4 columns a row, and an odd-sized whole pass can
 # put its last columns through OpenBLAS's narrower tail kernel (see ``in_row_blocks``)

@@ -5,7 +5,6 @@ import pickle
 import re
 import signal
 import threading
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +17,7 @@ from diffupt.data import SynthFundusConfig, generate_synth_fundus, stratified_sp
 from diffupt.diffusion import DiffusionTrainConfig, DivergenceError, GuidanceSpec, SampleMethod, UNetDenoiser, linear_schedule, train_diffusion
 from diffupt.latentae import AeTrainConfig
 from diffupt.numcore import RngStream
+from test_models import _peak_bytes
 
 
 def _tiny_splits(seed: int = 0) -> P.Splits:
@@ -35,7 +35,6 @@ def test_diffupt_run_with_given_synthetic_reports_kept_as_neg_pos():
     assert synthetic.class_counts == (30, 10)
     res = P.diffupt_run(_tiny_splits(), cfg, RngStream(0), ctx=ctx, synthetic=synthetic)
     assert res.generation_stats.kept == (30, 10)
-
 
 
 def test_finetune_starts_with_fresh_optimizer_state(monkeypatch):
@@ -58,6 +57,7 @@ def test_finetune_starts_with_fresh_optimizer_state(monkeypatch):
     assert pretrain is cfg.pretrain and finetune is cfg.finetune
     assert not moments and steps == {0}  # no Adam moments or step count carried over from pretraining
     assert res.model.trained and not np.array_equal(values, res.model.parameter_buffer[0])
+
 
 # ---------------------------------------------------------------------------
 # tiny end-to-end experiments: every method and ablation, rerun bitwise
@@ -227,16 +227,8 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
     assert stack.ae.weight_bytes() == ae.weight_bytes()  # the latent shift and scale buffers included
     assert repr(stack.ae_report.rows) == repr(rows)
     assert stack.denoiser.weight_bytes() == denoiser.weight_bytes()
-    assert np.array_equal(stack.unet_losses, losses)
-
-
-@pytest.mark.parametrize("iterations", [0, 3])
-def test_stack_keeps_one_unet_loss_per_training_iteration(iterations):
-    ds = generate_synth_fundus(SynthFundusConfig(seed=3), 30, 10)
-    cfg = P.StackConfig(ae=AeTrainConfig(iterations=1), diffusion=DiffusionTrainConfig(iterations=iterations, batch=8))
-    stack = P.train_generative_stack(ds, cfg, RngStream(5))
-    assert stack.unet_losses.shape == (iterations,)
-    assert np.all(np.isfinite(stack.unet_losses)) and np.all(stack.unet_losses > 0)
+    # the UNet's loss curve, one value per configured iteration
+    assert stack.unet_losses.shape == (cfg.diffusion.iterations,) and np.array_equal(stack.unet_losses, losses)
 
 
 def test_sampling_peak_memory_does_not_grow_with_the_batch():
@@ -246,15 +238,9 @@ def test_sampling_peak_memory_does_not_grow_with_the_batch():
         denoiser=UNetDenoiser((4, 4, 4), 16, RngStream(1), emb_dim=32),
         sched=linear_schedule(1000),
     )
-    peaks = []
-    for n in (250, 1000):
-        tracemalloc.start()
-        try:
-            stack.sample_class(n, 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2), RngStream(2))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.3 * peaks[0]
+    sample = lambda n: stack.sample_class(n, 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2), RngStream(2))  # noqa: E731
+    peak_250, peak_1000 = (_peak_bytes(lambda: sample(n)) for n in (250, 1000))
+    assert peak_1000 <= 1.3 * peak_250
 
 
 @pytest.mark.parametrize("gen_batch", [0, -3])
