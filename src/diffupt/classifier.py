@@ -3,14 +3,15 @@
 One small convolutional feature extractor (global-average-pooled to a
 fixed-width vector) with a single-logit head covers every regime: plain
 or class-weighted cross-entropy, uniform or class-balanced sampling, and
-two-stage decoupled retraining where the features are frozen and only the
-head is retrained under a balanced sampler.
+two-stage decoupled retraining, where only the head is retrained under a
+balanced sampler, on the training set's features computed once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,9 +66,6 @@ class ClassifierModel(Module):
         self.head = Linear(feature_dim, 1, rng.split("head"))
         self.pack_parameters()
 
-    def feature_parameters(self) -> list[nc.Parameter]:
-        return [p for name, p in self.named_parameters() if not name.startswith("head.")]
-
     def features_t(self, x: Tensor) -> Tensor:
         """(B, F) features of an NCHW batch; the convs run on (C, H, W, B) maps."""
         h = permute(x, NCHW_TO_CHWB)
@@ -84,10 +82,6 @@ class ClassifierModel(Module):
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
         logits = in_row_blocks(self.logits_t, CLASSIFIER_PASS_ROWS, np.asarray(images, dtype=np.float64))
         return nc.tensor._sigmoid_np(logits)
-
-    def reinit_head(self, rng: RngStream) -> None:
-        """Fresh head weights and optimizer state, in place in the parameter buffer."""
-        self.head.reset(rng)
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray, weights: tuple[float, float] | None = None) -> Tensor:
@@ -142,14 +136,22 @@ def train_classifier(
     regime: TrainRegime,
     rng: RngStream,
     val_ds: LabeledDataset | None = None,
-    params: list[nc.Parameter] | None = None,
 ) -> list[HistoryRow]:
     """Train in place; keeps the best-validation-harmonic-mean checkpoint."""
+    return _train(model, model.parameters(), ds.images, model.logits_t, ds, regime, rng, val_ds)
+
+
+def _train(
+    model: ClassifierModel, params: list[nc.Parameter], rows: np.ndarray, net: Callable[[Tensor], Tensor],
+    ds: LabeledDataset, regime: TrainRegime, rng: RngStream, val_ds: LabeledDataset | None,
+) -> list[HistoryRow]:
+    """Adam on ``params`` over batches of ``rows`` (row i stands for ``ds``'s
+    image i), which ``net`` maps to logits. Validation runs the whole model,
+    and its best-harmonic-mean values are restored at the end."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
     weights = class_weights(ds) if regime.weighted_loss else None
     sampler = IndexSampler(ds, rng.split("sampler"), regime.balanced_sampler)
-    params = model.parameters() if params is None else params
 
     values = model.parameter_buffer[0]
     history: list[HistoryRow] = []
@@ -169,9 +171,9 @@ def train_classifier(
 
     for i in range(regime.iterations):
         idx = sampler.draw(regime.batch)
-        x = Tensor(ds.images[idx])
+        x = Tensor(rows[idx])
         try:
-            logits = model.logits_t(x)
+            logits = net(x)
             loss = bce_loss(logits, ds.labels[idx], weights)
             val = loss.item()
             if not np.isfinite(val):
@@ -199,22 +201,16 @@ def multi_stage_retrain(
     lr: float = 1e-3,
     batch: int = 32,
 ) -> list[HistoryRow]:
-    """Freeze features, re-initialize the head, retrain it class-balanced.
-
-    Frozen means ``requires_grad=False`` for the duration: the backward pass
-    stops at the head, and no gradient is left on the feature parameters."""
+    """Re-initialize the head and retrain it class-balanced on the training
+    set's features, computed once: the feature extractor is never stepped, and
+    no gradient reaches it."""
     if not model.trained:
         warnings.warn("multi_stage_retrain called on an untrained model; proceeding")
-    model.reinit_head(rng.split("head-reinit"))
+    model.head.reset(rng.split("head-reinit"))
     regime = TrainRegime(balanced_sampler=True, lr=lr, iterations=iterations, batch=batch)
-    features = model.feature_parameters()
-    for p in features:
-        p.tensor.requires_grad = False
-    try:
-        return train_classifier(model, ds, regime, rng.split("stage2"), val_ds=val_ds, params=model.head.parameters())
-    finally:
-        for p in features:
-            p.tensor.requires_grad = True
+    features = model.extract_features(ds.images)
+    head = model.head
+    return _train(model, head.parameters(), features, lambda f: head(f).reshape(-1), ds, regime, rng.split("stage2"), val_ds)
 
 
 def embedding_statistics(model: ClassifierModel, ds: LabeledDataset, reg: float = 1e-6) -> dict[str, float]:

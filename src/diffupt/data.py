@@ -285,6 +285,12 @@ def stratified_split(
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions}")
+    shares = [("fractions", f) for f in fractions] + [("test_minority_fraction", test_minority_fraction)]
+    if val_minority_fraction is not None:
+        shares.append(("val_minority_fraction", val_minority_fraction))
+    for name, f in shares:
+        if not 0.0 <= f <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {f}")
     n = len(ds)
     rng = RngStream(seed).split("stratified-split")
     pos_idx = np.nonzero(ds.labels == 1)[0]

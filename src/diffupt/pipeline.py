@@ -302,7 +302,6 @@ class _ClassDraw:
     """What one class's generation produced."""
 
     kept: np.ndarray  # samples that passed the plan's filter, at most the class target
-    unfiltered: np.ndarray  # the first samples as drawn, before the filter, at most the target
     attempted: int
     batches: int
 
@@ -314,31 +313,18 @@ def _generate_class(
     kept or its attempt budget is spent."""
     target = plan.target_counts[cls]
     budget = int(np.ceil(plan.max_attempts_factor * target))
-    empty = np.zeros((0,) + stack.image_shape)
-    kept, unfiltered = [empty], [empty]
-    n_kept = n_unfiltered = attempted = batches = 0
+    kept = [np.zeros((0,) + stack.image_shape)]
+    n_kept = attempted = batches = 0
     while n_kept < target and attempted < budget:
         n = min(plan.gen_batch, budget - attempted)
         batch = stack.sample_class(n, cls, plan.guidance, plan.method, rng)
         attempted += n
         batches += 1
-        unfiltered.append(batch[: target - n_unfiltered])
-        n_unfiltered += len(unfiltered[-1])
         if plan.filter == "baseline":
             batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
         kept.append(batch[: target - n_kept])
         n_kept += len(kept[-1])
-    return _ClassDraw(np.concatenate(kept), np.concatenate(unfiltered), attempted, batches)
-
-
-def _generate_classes(
-    stack: GenerativeStack, plan: GenerationPlan, baseline: ClassifierModel | None, rngs: list[RngStream]
-) -> list[_ClassDraw]:
-    """Both classes' draws, in two lanes: class 1 in the worker while class 0 runs here."""
-    draw = partial(_generate_class, stack, plan, baseline)
-    # a class with no target draws nothing, so it is no work for the worker
-    jobs = [partial(draw, cls, rngs[cls]) if plan.target_counts[cls] else None for cls in (0, 1)]
-    return [d or draw(cls, rngs[cls]) for cls, d in enumerate(_lanes(jobs))]
+    return _ClassDraw(np.concatenate(kept), attempted, batches)
 
 
 def generate_balanced_dataset(
@@ -351,7 +337,11 @@ def generate_balanced_dataset(
     if plan.filter == "baseline" and baseline is None:
         raise ValueError("plan filters on the baseline classifier but none was given")
     t0 = time.perf_counter()
-    draws = _generate_classes(stack, plan, baseline, [rng.split(f"gen-class{cls}") for cls in (0, 1)])
+    draw = partial(_generate_class, stack, plan, baseline)
+    rngs = [rng.split(f"gen-class{cls}") for cls in (0, 1)]
+    # two lanes, class 1 in the worker; a class with no target draws nothing, so it is no work for the worker
+    jobs = [partial(draw, cls, rngs[cls]) if plan.target_counts[cls] else None for cls in (0, 1)]
+    draws = [d or draw(cls, rngs[cls]) for cls, d in enumerate(_lanes(jobs))]
     kept_counts = tuple(len(d.kept) for d in draws)
     attempted = tuple(d.attempted for d in draws)
     steps = plan.method.steps if plan.method.kind == "ddim" else stack.sched.T
@@ -548,17 +538,14 @@ def _diffupt_after(
 # here (the method's classifier with ``ctx.new_classifier``, and the shared
 # baseline and stack when the method needs them) and returns that classifier
 # with the job that trains it in place and returns its (val, test) reports; the
-# job runs in the row's lane. ``count`` is N of the label gen_augment(N) and None
-# for every other method.
+# job runs in the row's lane.
 Job = Callable[[], tuple[M.EvalReport, M.EvalReport]]
-Runner = Callable[[Splits, ExperimentContext, RngStream, int | None], tuple[ClassifierModel, Job]]
+Runner = Callable[[Splits, ExperimentContext, RngStream], tuple[ClassifierModel, Job]]
 # A training set is chosen here like a runner and built in the row's lane by the function returned.
-TrainSet = Callable[[Splits, ExperimentContext, RngStream, int | None], Callable[[], LabeledDataset]]
+TrainSet = Callable[[Splits, ExperimentContext, RngStream], Callable[[], LabeledDataset]]
 
 
-def _smote_minority(
-    splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None
-) -> Callable[[], LabeledDataset]:
+def _smote_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream) -> Callable[[], LabeledDataset]:
     """The real set plus SMOTE minority samples up to the majority count."""
 
     def build() -> LabeledDataset:
@@ -573,7 +560,7 @@ def _smote_minority(
 
 
 def _generated_minority(
-    splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None
+    count: int, splits: Splits, ctx: ExperimentContext, rng: RngStream
 ) -> Callable[[], LabeledDataset]:
     """The real set plus ``count`` generated, baseline-filtered minority samples."""
     if count == 0:
@@ -592,8 +579,8 @@ def _one_classifier(train_set: TrainSet | None = None, **regime_changes) -> Runn
     """Train one fresh classifier on ``train_set`` (default: the real training
     set) under the context's regime with ``regime_changes`` applied."""
 
-    def run(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
-        train = (lambda: splits.train) if train_set is None else train_set(splits, ctx, rng, count)
+    def run(splits: Splits, ctx: ExperimentContext, rng: RngStream):
+        train = (lambda: splits.train) if train_set is None else train_set(splits, ctx, rng)
         model = ctx.new_classifier(splits, rng.split("init"))
 
         def job():
@@ -606,7 +593,7 @@ def _one_classifier(train_set: TrainSet | None = None, **regime_changes) -> Runn
     return run
 
 
-def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
+def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream):
     """Decoupled retraining (Kang et al. 2020): train, then retrain only the head class-balanced."""
     regime = ctx.regime
     model = ctx.new_classifier(splits, rng.split("init"))
@@ -620,7 +607,7 @@ def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: 
     return model, job
 
 
-def _diffupt(splits: Splits, ctx: ExperimentContext, rng: RngStream, count: int | None):
+def _diffupt(splits: Splits, ctx: ExperimentContext, rng: RngStream):
     baseline, stack = ctx.ensure_models(splits, rng)
     model = ctx.new_classifier(splits, rng.split("diffupt-init"))
 
@@ -638,22 +625,22 @@ METHODS: dict[str, Runner] = {
     "weighted_ce+sampler": _one_classifier(weighted_loss=True, balanced_sampler=True),
     "multi_stage+sampler": _multi_stage,
     "smote_augment": _one_classifier(_smote_minority, balanced_sampler=False),
-    "gen_augment": _one_classifier(_generated_minority, balanced_sampler=True),  # labelled gen_augment(N)
     "diffupt": _diffupt,
 }
 
 
-def _method(label: str) -> tuple[Runner, int | None]:
-    """The runner for ``label`` and gen_augment's count; ValueError for an unknown
-    label or a negative count."""
+def _method(label: str) -> Runner:
+    """The runner for ``label``: one of ``METHODS``, or gen_augment(N), which adds
+    N generated minority samples under a balanced sampler. ValueError for an
+    unknown label or a negative N."""
     if label.startswith("gen_augment(") and label.endswith(")"):
         count = int(label[len("gen_augment(") : -1])
         if count < 0:
             raise ValueError(f"gen_augment needs a count >= 0, got {label!r}")
-        return METHODS["gen_augment"], count
-    if label == "gen_augment" or label not in METHODS:
+        return _one_classifier(partial(_generated_minority, count), balanced_sampler=True)
+    if label not in METHODS:
         raise ValueError(f"unknown method label {label!r}")
-    return METHODS[label], None
+    return METHODS[label]
 
 
 def run_comparison(splits: Splits, methods: list[str], rng: RngStream, ctx: ExperimentContext | None = None) -> list[MethodResult]:
@@ -665,7 +652,7 @@ def run_comparison(splits: Splits, methods: list[str], rng: RngStream, ctx: Expe
     ctx = ctx or ExperimentContext()
     runners = [_method(label) for label in methods]  # fail fast on bad labels
     ctx.bind(splits, rng)  # shared models come from the root stream, not from whichever row asks first
-    built = [run(splits, ctx, rng.split(label), count) for label, (run, count) in zip(methods, runners)]
+    built = [run(splits, ctx, rng.split(label)) for label, run in zip(methods, runners)]
     done = _lanes([partial(_trained, model, job) for model, job in built])
     for (model, _), (_, state) in zip(built, done):
         _load_trained(model, state)
@@ -744,14 +731,22 @@ def filtering_ablation(
     ctx = ctx or ExperimentContext()
     baseline, stack = ctx.ensure_models(splits, rng)
     plan = ctx.diffupt_cfg.generation
-    # one shared candidate pool per class, drawn in one batch of its whole budget and filtered once
-    budget = max(int(np.ceil(plan.max_attempts_factor * n)) for n in plan.target_counts)
     gen_rng = rng.split("shared-pool")
-    pool_plan = replace(plan, filter="baseline", gen_batch=budget)
-    draws = _generate_classes(stack, pool_plan, baseline, [gen_rng.split(f"class{cls}") for cls in (0, 1)])
+
+    def draw(cls: int) -> tuple[np.ndarray, np.ndarray]:
+        """One batch of the class's whole budget: its first ``target`` samples, and the first ``target`` that pass the filter."""
+        target = plan.target_counts[cls]
+        budget = int(np.ceil(plan.max_attempts_factor * target))
+        pool = stack.sample_class(budget, cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}"))
+        return pool[:target], filter_samples(pool, cls, baseline, plan.filter_threshold)[:target]
+
+    # the two classes in two lanes; a class with no target draws nothing
+    empty = np.zeros((0,) + stack.image_shape)
+    drawn = _lanes([partial(draw, cls) if plan.target_counts[cls] else None for cls in (0, 1)])
+    all_samples, filtered = zip(*(d or (empty, empty) for d in drawn))
 
     rows = []
-    for label, kept in (("all_samples", [d.unfiltered for d in draws]), ("filtered_samples", [d.kept for d in draws])):
+    for label, kept in (("all_samples", all_samples), ("filtered_samples", filtered)):
         synth = class_dataset(kept, SYNTHETIC)
         res = diffupt_run(splits, ctx.diffupt_cfg, rng.split("shared-downstream"), ctx=ctx, synthetic=synth)
         rows.append(FilteringRow(label=label, synthetic=synth, val=res.val, test=res.test))

@@ -175,6 +175,23 @@ def test_split_deficit_error_names_deficit():
     assert "deficit" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"fractions": (1.2, -0.1, -0.1)}, "fractions"),
+        ({"fractions": (0.7, 0.0, 0.3), "test_minority_fraction": -0.2}, "test_minority_fraction"),
+        ({"fractions": (0.7, 0.0, 0.3), "test_minority_fraction": 1.5}, "test_minority_fraction"),
+        ({"val_minority_fraction": float("nan")}, "val_minority_fraction"),
+    ],
+    ids=["negative-fractions", "negative-test-minority", "test-minority-above-one", "nan-val-minority"],
+)
+def test_split_rejects_fractions_outside_the_unit_interval(kwargs, name):
+    ds = generate_synth_fundus(SynthFundusConfig(seed=0, image_size=8), 60, 24)
+    args = {"fractions": (0.7, 0.15, 0.15), "test_minority_fraction": 0.2, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        stratified_split(ds, **args)
+
+
 def test_split_test_minority_within_one_percent():
     ds = generate_synth_fundus(SynthFundusConfig(seed=8), 800, 200)
     _, _, test = stratified_split(ds, (0.6, 0.2, 0.2), 0.28, seed=3)

@@ -153,30 +153,45 @@ def test_regime_rejects_sizes_that_cannot_train(bad):
         TrainRegime(**bad)
 
 
+def _feature_parameters(model):
+    return [p for name, p in model.named_parameters() if not name.startswith("head.")]
+
+
 def test_stage_two_trains_only_the_head_and_leaves_no_feature_gradients():
     model, ds = _stage_one()
+    features = [p.data.copy() for p in _feature_parameters(model)]
+    head = [p.data.copy() for p in model.head.parameters()]
     multi_stage_retrain(model, ds, RngStream(7), val_ds=ds, iterations=5, batch=8)
-    assert all(p.tensor.grad is None and p.tensor.requires_grad for p in model.feature_parameters())
+    for p, before in zip(_feature_parameters(model), features):
+        assert p.data.tobytes() == before.tobytes() and p.tensor.grad is None
+    assert all(not np.array_equal(p.data, before) for p, before in zip(model.head.parameters(), head))
 
-    # reference: the same head retrain with the features left trainable but not updated
+    # reference: the same head retrain running the whole network on every batch
     ref, _ = _stage_one()
     rng = RngStream(7)
-    ref.reinit_head(rng.split("head-reinit"))
+    ref.head.reset(rng.split("head-reinit"))
     regime = TrainRegime(balanced_sampler=True, lr=1e-3, iterations=5, batch=8)
-    train_classifier(ref, ds, regime, rng.split("stage2"), val_ds=ds, params=ref.head.parameters())
+    C._train(ref, ref.head.parameters(), ds.images, ref.logits_t, ds, regime, rng.split("stage2"), ds)
     assert model.weight_bytes() == ref.weight_bytes()
 
 
-def test_stage_two_unfreezes_features_after_an_error(monkeypatch):
-    model, ds = _stage_one()
+def test_stage_two_computes_the_training_features_once(monkeypatch):
+    train = generate_synth_fundus(SynthFundusConfig(seed=4), 200, 100)  # three 128-row blocks
+    val = generate_synth_fundus(SynthFundusConfig(seed=8), 30, 10)  # one block
+    calls = []
+    features_t = ClassifierModel.features_t
 
-    def fail(*args, **kwargs):
-        raise C.DivergenceError("stage two diverged")
+    def counted(self, x):
+        calls.append(x.shape[0])
+        return features_t(self, x)
 
-    monkeypatch.setattr(C, "train_classifier", fail)
-    with pytest.raises(C.DivergenceError):
-        multi_stage_retrain(model, ds, RngStream(7), iterations=5, batch=8)
-    assert all(p.tensor.requires_grad for p in model.feature_parameters())
+    monkeypatch.setattr(ClassifierModel, "features_t", counted)
+    for iterations in (5, 50):  # both validate once, at the end
+        model = ClassifierModel(train.images.shape[1:], RngStream(5))
+        model.trained = True
+        calls.clear()
+        multi_stage_retrain(model, train, RngStream(7), val_ds=val, iterations=iterations, batch=8)
+        assert calls == [128, 128, 44, 40]
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +220,12 @@ def _classifier(seed):
 
 def _classifier_loss(model, rng):
     return bce_loss(model.logits_t(Tensor(rng.uniform((6, 1, 16, 16)))), (rng.uniform((6,)) < 0.5).astype(float))
+
+
+def _head_loss(model, rng):
+    """The loss of stage two: the head alone, on fixed feature rows."""
+    logits = model.head(Tensor(rng.normal((6, model.feature_dim)))).reshape(-1)
+    return bce_loss(logits, (rng.uniform((6,)) < 0.5).astype(float))
 
 
 def _autoencoder(seed):
@@ -251,11 +272,9 @@ def test_fused_adam_equals_the_loop_on_a_reinitialised_head():
     fused, looped = _classifier(3), _classifier(3)
     _train_pair(fused, looped, _classifier_loss, lambda m: m.parameters(), steps=2)
     for model in (fused, looped):
-        model.reinit_head(RngStream(9))
-        for p in model.feature_parameters():
-            p.tensor.requires_grad = False
+        model.head.reset(RngStream(9))
     assert len(_runs(fused.head.parameters())) == 1  # step 0 head after step 2 features
-    _train_pair(fused, looped, _classifier_loss, lambda m: m.head.parameters())
+    _train_pair(fused, looped, _head_loss, lambda m: m.head.parameters())
     assert [p.step_count for p in fused.parameters()] == [2] * (len(fused.parameters()) - 2) + [5, 5]
 
 
@@ -264,7 +283,7 @@ def test_reinit_head_draws_a_fresh_head_in_place():
     buffer = model.parameter_buffer
     backward(_classifier_loss(model, RngStream(4)))
     adam_step(model.parameters(), 1e-3)
-    model.reinit_head(RngStream(9))
+    model.head.reset(RngStream(9))
     fresh = Linear(model.feature_dim, 1, RngStream(9))
     assert model.parameter_buffer is buffer
     for p, q in zip(model.head.parameters(), fresh.parameters()):

@@ -424,7 +424,7 @@ def test_no_child_is_left_after_success_or_a_failure_here(forks, monkeypatch):
 def _diverging_runner(label):
     """A runner that builds its classifier and whose job raises ``DivergenceError`` naming ``label``."""
 
-    def run(splits, ctx, rng, count):
+    def run(splits, ctx, rng):
         model = ctx.new_classifier(splits, rng.split("init"))
 
         def job():
