@@ -140,29 +140,35 @@ def _soft_edge(edge_r: np.ndarray, d: np.ndarray, width: float, out: np.ndarray)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _render_discs(size, cx, cy, r_disc, r_cup, cfg: SynthFundusConfig) -> np.ndarray:
-    """(n, size, size) disc-and-cup images: the background level, plus the
-    disc's and then the cup's level step, each through a soft edge of the
-    pixel-centre distance to the disc centre. Everything is computed in two
-    image-sized buffers, the distance and the image; the cup's soft edge
-    overwrites the distance once the disc's is drawn. Each step is the IEEE
-    operation of ``bg + (disc - bg) * soft(r_disc) + (cup - disc) * soft(r_cup)``
-    on the same operands, so the pixels are those of that expression."""
+def _render_discs(size, cx, cy, r_disc, r_cup, cfg: SynthFundusConfig, out: np.ndarray) -> np.ndarray:
+    """(n, size, size) disc-and-cup images, written into ``out``: the background
+    level, plus the disc's and then the cup's level step, each through a soft
+    edge of the pixel-centre distance to the disc centre. Besides ``out`` it
+    holds one image-sized buffer, the distance; the cup's soft edge overwrites
+    it once the disc's is drawn. Each step is the IEEE operation of
+    ``bg + (disc - bg) * soft(r_disc) + (cup - disc) * soft(r_cup)`` on the same
+    operands, so the pixels are those of that expression."""
     ys, xs = np.mgrid[0:size, 0:size] + 0.5
     d = np.subtract(xs, cx[:, None, None])
     np.square(d, out=d)
-    img = np.subtract(ys, cy[:, None, None])
-    np.square(img, out=img)
-    d += img
+    np.subtract(ys, cy[:, None, None], out=out)
+    np.square(out, out=out)
+    d += out
     np.sqrt(d, out=d)
 
-    _soft_edge(r_disc, d, cfg.edge_width, out=img)
-    img *= cfg.disc_level - cfg.bg_level
-    img += cfg.bg_level
+    _soft_edge(r_disc, d, cfg.edge_width, out=out)
+    out *= cfg.disc_level - cfg.bg_level
+    out += cfg.bg_level
     cup = _soft_edge(r_cup, d, cfg.edge_width, out=d)
     cup *= cfg.cup_level - cfg.disc_level
-    img += cup
-    return img
+    out += cup
+    return out
+
+
+# Images are rendered, noised and clipped this many rows at a time, straight
+# into the output, so the generator's buffers besides its output do not grow
+# with the image count (256 16x16 rows are 0.5 MB a buffer).
+_GEN_BLOCK_ROWS = 256
 
 
 def generate_synth_fundus(cfg: SynthFundusConfig, n_negative: int, n_positive: int) -> LabeledDataset:
@@ -195,9 +201,13 @@ def generate_synth_fundus(cfg: SynthFundusConfig, n_negative: int, n_positive: i
     cx = size / 2.0 + dx
     cy = size / 2.0 + dy
 
-    images = _render_discs(size, cx, cy, r_disc, ratios * r_disc, cfg)
-    images += rng.normal(images.shape, 0.0, cfg.noise_sd)
-    images = np.clip(images, 0.0, 1.0, out=images)[:, None, :, :]
+    images = np.empty((n, 1, size, size))
+    noise = rng.normal_blocks(n, (size, size), _GEN_BLOCK_ROWS, 0.0, cfg.noise_sd)
+    for start, block_noise in zip(range(0, n, _GEN_BLOCK_ROWS), noise):
+        rows = slice(start, start + _GEN_BLOCK_ROWS)
+        img = _render_discs(size, cx[rows], cy[rows], r_disc[rows], ratios[rows] * r_disc[rows], cfg, out=images[rows, 0])
+        img += block_noise
+        np.clip(img, 0.0, 1.0, out=img)
 
     return LabeledDataset(
         images=images,
@@ -379,6 +389,25 @@ class IndexSampler:
 _SMOTE_BLOCK_VALUES = 1 << 19  # 4 MB of float64 per distance block
 
 
+def _squared_distances(flat: np.ndarray) -> np.ndarray:
+    """(m, m) squared distances between the rows of ``flat``, inf on the diagonal.
+
+    Blocks of rows bound the (rows, m, D) difference tensor to one reused
+    buffer, squared in place; each entry is the same sum of squared
+    differences as one m*m*D pass would compute."""
+    m, dim = flat.shape
+    step = max(1, _SMOTE_BLOCK_VALUES // (m * dim))
+    diff = np.empty((min(step, m), m, dim))
+    d2 = np.empty((m, m))
+    for i in range(0, m, step):
+        block = diff[: min(step, m - i)]
+        np.subtract(flat[i : i + step, None, :], flat[None, :, :], out=block)
+        np.square(block, out=block)
+        np.sum(block, axis=2, out=d2[i : i + step])
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
 def smote_oversample(minority: np.ndarray, k: int, n_new: int, rng: RngStream) -> np.ndarray:
     """New samples x_i + U(0,1) * (x_nn - x_i) with x_nn among k pixel-space neighbours."""
     x = np.asarray(minority, dtype=np.float64)
@@ -389,19 +418,17 @@ def smote_oversample(minority: np.ndarray, k: int, n_new: int, rng: RngStream) -
         raise ValueError(f"need more minority samples ({m}) than neighbours k={k}")
     if n_new == 0:
         return np.zeros((0,) + x.shape[1:])
-    flat = x.reshape(m, -1)
-    # blocks of rows bound the (rows, m, D) difference tensor; each entry is the
-    # same sum of squared differences as one m*m*D pass would compute
-    d2 = np.empty((m, m))
-    step = max(1, _SMOTE_BLOCK_VALUES // (m * flat.shape[1]))
-    for i in range(0, m, step):
-        d2[i : i + step] = np.sum((flat[i : i + step, None, :] - flat[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    knn = np.argsort(d2, axis=1)[:, :k]
+    knn = np.argsort(_squared_distances(x.reshape(m, -1)), axis=1)[:, :k]
 
     base = rng.integers((n_new,), 0, m)
     pick = rng.integers((n_new,), 0, k)
     lam = rng.uniform((n_new,))
     neighbours = knn[base, pick]
     lam = lam.reshape((n_new,) + (1,) * (x.ndim - 1))
-    return x[base] + lam * (x[neighbours] - x[base])
+    # x_base + lam * (x_nn - x_base), one IEEE step at a time in one output buffer
+    out = x[neighbours]
+    base_rows = x[base]
+    out -= base_rows
+    out *= lam
+    out += base_rows
+    return out

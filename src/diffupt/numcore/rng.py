@@ -33,6 +33,13 @@ class RngStream:
     def normal(self, shape=(), mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         return self._generator().normal(mean, sd, size=shape)
 
+    def normal_blocks(self, n: int, row_shape, block: int, mean: float = 0.0, sd: float = 1.0):
+        """One ``normal((n, *row_shape), mean, sd)`` draw, handed out as blocks
+        of up to ``block`` rows in row order. numpy fills a draw in order, so the
+        blocks, joined, are that draw bit for bit; the counter advances here, once."""
+        gen = self._generator()
+        return (gen.normal(mean, sd, size=(min(block, n - i), *row_shape)) for i in range(0, n, block))
+
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._generator().uniform(low, high, size=shape)
 

@@ -632,12 +632,12 @@ METHODS: dict[str, Runner] = {
 def _method(label: str) -> Runner:
     """The runner for ``label``: one of ``METHODS``, or gen_augment(N), which adds
     N generated minority samples under a balanced sampler. ValueError for an
-    unknown label or a negative N."""
+    unknown label or an N that is not a whole number >= 0."""
     if label.startswith("gen_augment(") and label.endswith(")"):
-        count = int(label[len("gen_augment(") : -1])
-        if count < 0:
-            raise ValueError(f"gen_augment needs a count >= 0, got {label!r}")
-        return _one_classifier(partial(_generated_minority, count), balanced_sampler=True)
+        count = label[len("gen_augment(") : -1]
+        if not count.isascii() or not count.isdigit():
+            raise ValueError(f"{label!r}: gen_augment(N) needs N to be a whole number >= 0")
+        return _one_classifier(partial(_generated_minority, int(count)), balanced_sampler=True)
     if label not in METHODS:
         raise ValueError(f"unknown method label {label!r}")
     return METHODS[label]

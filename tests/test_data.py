@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diffupt import data
 from diffupt.data import (
     IndexSampler,
     LabeledDataset,
@@ -71,31 +72,60 @@ def _render_by_expression(cfg, truth):
     return img
 
 
+BLOCK = data._GEN_BLOCK_ROWS
+
+
 @pytest.mark.parametrize(
     "cfg,counts",
     [
         pytest.param(SynthFundusConfig(seed=4), (30, 7), id="default"),
         pytest.param(SynthFundusConfig(image_size=20, edge_width=0.7, noise_sd=0.3, seed=5), (9, 12), id="wide-noisy"),
+        pytest.param(SynthFundusConfig(seed=6), (BLOCK - 11, 10), id="block-1"),
+        pytest.param(SynthFundusConfig(seed=6), (BLOCK - 10, 10), id="block"),
+        pytest.param(SynthFundusConfig(seed=6), (BLOCK - 9, 10), id="block+1"),
+        pytest.param(SynthFundusConfig(image_size=32, seed=7), (2 * BLOCK - 9, 10), id="2block+1"),
+        pytest.param(SynthFundusConfig(seed=8), (2000, 400), id="compare-sized"),
     ],
 )
 def test_generated_images_are_bitwise_the_rendering_expression(cfg, counts):
     ds = generate_synth_fundus(cfg, *counts)
-    # the pixel noise is the stream's sixth draw, after radii, two ratio draws and two centre offsets
+    # the pixel noise is the stream's sixth draw, after radii, two ratio draws and two centre offsets,
+    # made here whole where the generator fills it block by block
     stream = RngStream(RngStream(cfg.seed).split("synth-fundus").seed, counter=5)
     noise = stream.normal((len(ds), cfg.image_size, cfg.image_size), 0.0, cfg.noise_sd)
     expected = np.clip(_render_by_expression(cfg, ds.truth) + noise, 0.0, 1.0)[:, None]
     assert np.array_equal(ds.images, expected)
 
 
-def test_generation_peak_memory_is_about_two_images():
+def _generation_peak(n_negative, n_positive):
+    """The generated set and tracemalloc's peak while generating it, after a
+    small warm-up call so that one-off lazy imports do not count."""
+    generate_synth_fundus(SynthFundusConfig(), 1, 1)
     tracemalloc.start()
     try:
-        ds = generate_synth_fundus(SynthFundusConfig(), 2000, 400)
-        peak = tracemalloc.get_traced_memory()[1]
+        ds = generate_synth_fundus(SynthFundusConfig(), n_negative, n_positive)
+        return ds, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the distance and image buffers, then the image and its noise (4.2x with whole-array temporaries)
-    assert peak <= 3.1 * ds.images.nbytes
+
+
+def test_generation_peak_memory_is_about_one_output():
+    ds, peak = _generation_peak(2000, 400)
+    # the output, its per-image truth, and one block's distance and noise buffers
+    # (1.27x; 2.06x with whole-set render buffers and noise, 4.2x with whole-array temporaries)
+    assert peak <= 1.3 * ds.images.nbytes
+
+
+def test_generation_temporaries_do_not_grow_with_the_image_count():
+    def temporaries(n):
+        ds, peak = _generation_peak(n - n // 6, n // 6)
+        held = sum(a.nbytes for a in (ds.images, ds.labels, ds.provenance, ds.subgroup, *ds.truth.values()))
+        return peak - held
+
+    small, large = temporaries(2_400), temporaries(24_000)
+    # block-sized buffers only; what grows is the centre offsets, two floats an
+    # image (16 bytes, where an image is 2,048), kept until the truth is built
+    assert large - small < 32 * (24_000 - 2_400)
 
 
 def test_threshold_rule_on_measured_ratio():
@@ -352,6 +382,19 @@ def test_smote_distances_in_bounded_memory_match_one_pass():
     lam = lam.reshape(200, 1, 1, 1)
     ref = minority[base] + lam * (minority[knn[base, pick]] - minority[base])
     assert np.array_equal(out, ref)
+
+
+def test_smote_builds_its_samples_in_one_output_buffer():
+    minority = RngStream(12).uniform((270, 1, 16, 16))
+    smote_oversample(minority[:10], k=3, n_new=5, rng=RngStream(1))  # one-off lazy imports
+    tracemalloc.start()
+    try:
+        out = smote_oversample(minority, k=5, n_new=4000, rng=RngStream(13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and the gathered base rows (2.10x; 3.17x with whole-array temporaries)
+    assert peak <= 2.2 * out.nbytes
 
 
 def test_concat_datasets_counts():

@@ -769,6 +769,17 @@ def test_rng_counter_advances_and_changes_draws():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 10, 11])
+def test_rng_draw_in_blocks_equals_the_whole_draw(block):
+    s = RngStream(5, counter=2)
+    blocks = s.normal_blocks(10, (2, 3), block, 0.5, 2.0)
+    assert s.counter == 3  # one draw, taken when the blocks are asked for
+    after = s.normal((4,))
+    whole = RngStream(5, counter=2)
+    assert np.array_equal(np.concatenate(list(blocks)), whole.normal((10, 2, 3), 0.5, 2.0))
+    assert np.array_equal(after, whole.normal((4,)))
+
+
 def test_rng_split_streams_are_independent_and_stable():
     s = RngStream(99)
     c1 = s.split("model").normal((4,))

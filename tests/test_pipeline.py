@@ -175,6 +175,15 @@ def test_negative_augment_count_raises_before_any_training(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("label", ["gen_augment(x)", "gen_augment()", "gen_augment(1.5)", "gen_augment( 3)"])
+def test_malformed_augment_count_names_the_label(label, monkeypatch):
+    calls = _record_training(monkeypatch)
+    with pytest.raises(ValueError, match=r"whole number >= 0") as err:
+        P.run_comparison(_tiny_splits(), ["normal", label], RngStream(0), ctx=_tiny_context())
+    assert repr(label) in str(err.value)
+    assert calls == []
+
+
 def test_bad_distribution_raises_before_any_training(monkeypatch):
     calls = _record_training(monkeypatch)
     with pytest.raises(ValueError, match="must sum to 100"):
