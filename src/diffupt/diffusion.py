@@ -299,6 +299,15 @@ class DiffusionTrainConfig:
     p_uncond: float = 0.1
     ema_decay: float = 0.999  # weight average used for sampling stability
 
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        for name in ("p_uncond", "ema_decay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+
 
 def train_diffusion(
     model: DenoiserModel,

@@ -15,7 +15,7 @@ import numpy as np
 from . import diffusion as df
 from . import numcore as nc
 from .data import LabeledDataset
-from .metrics import mean_ssim
+from .metrics import ssim_map
 from .numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
@@ -28,6 +28,7 @@ from .numcore import (
     backward,
     in_row_blocks,
     permute,
+    row_blocks,
 )
 
 
@@ -104,6 +105,12 @@ class AeTrainConfig:
     batch: int = 32
     lr: float = 2e-3
 
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+
 
 # the share of a set's last rows kept out of autoencoder training for the report
 _HOLDOUT_FRACTION = 0.1
@@ -121,10 +128,23 @@ class ReconstructionReport:
 
 
 def reconstruction_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, split: str) -> tuple[str, float, float]:
-    """(split, mse, ssim) of decoding ``z``, the latents of ``images``."""
-    recon = decode(ae, z)
-    mse = float(np.mean((recon - images) ** 2))
-    return (split, mse, mean_ssim(images, np.clip(recon, 0.0, 1.0)))
+    """(split, mse, ssim) of decoding ``z``, the latents of ``images``.
+
+    Rows are decoded and scored in ``decode``'s own row blocks, so only a
+    squared error per pixel and an SSIM value per window (``ssim_map``)
+    grow with the rows; one ``np.mean`` of each gives the figures of
+    decoding and scoring all rows at once, bit for bit."""
+    squared = np.empty(images.shape)
+    ssim = None
+    for a, b in row_blocks(len(z), AE_PASS_ROWS):
+        recon = decode(ae, z[a:b])
+        np.subtract(recon, images[a:b], out=squared[a:b])
+        block = ssim_map(images[a:b], np.clip(recon, 0.0, 1.0, out=recon))
+        if ssim is None:
+            ssim = np.empty((len(z),) + block.shape[1:])
+        ssim[a:b] = block
+    np.square(squared, out=squared)
+    return (split, float(np.mean(squared)), float(np.mean(ssim)))
 
 
 def calibrate_and_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, trained: bool) -> ReconstructionReport:

@@ -135,12 +135,20 @@ def ssim(img_a, img_b, window: int = 8, dynamic_range: float = 1.0) -> float:
 
 
 def mean_ssim(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> float:
-    """Mean SSIM over every dense square window of every image pair.
+    """Mean SSIM over every dense square window of every image pair: the mean of ``ssim_map``."""
+    return float(np.mean(ssim_map(batch_a, batch_b, window, dynamic_range)))
+
+
+def ssim_map(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> np.ndarray:
+    """SSIM of every dense square window of every image pair, shaped
+    (N, H - win + 1, W - win + 1).
 
     Each row of the batches is one image, its trailing two axes H x W. The
     window is ``min(window, H, W)`` wide. Every window's means, variances and
     covariance come from 2-D cumulative sums (box sums) of all images at
     once, so the cost is a few whole-batch passes whatever the window size.
+    Each image's windows depend on that image alone, so a map built from
+    blocks of rows is bitwise the map of all rows at once.
     """
     a = np.asarray(batch_a, dtype=np.float64)
     b = np.asarray(batch_b, dtype=np.float64)
@@ -176,4 +184,4 @@ def mean_ssim(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> 
     c2 = (0.03 * dynamic_range) ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return num / den

@@ -23,7 +23,7 @@ from .tensor import (
 from .heap import retain_freed_memory
 from .rng import RngStream
 from .optim import MissingGradError, Parameter, adam_step
-from .nn import Conv2d, Embedding, Linear, Module, ModuleList, in_row_blocks
+from .nn import Conv2d, Embedding, Linear, Module, ModuleList, in_row_blocks, row_blocks
 
 __all__ = [
     "NCHW_TO_CHWB",
@@ -33,6 +33,7 @@ __all__ = [
     "NonFiniteError",
     "no_grad",
     "in_row_blocks",
+    "row_blocks",
     "backward",
     "matmul",
     "linear",

@@ -22,7 +22,7 @@ _M_MMAP_THRESHOLD = -3
 # where glibc's own rule ends once it has freed a block of its 32 MB maximum.
 # Network passes run in row blocks (``nn.in_row_blocks``), so no pass's buffers
 # grow with its rows: a whole 128-row denoiser pass peaks at 6.7 MB and a
-# batch-32 UNet training step at 8.1 MB (tracemalloc). The threshold keeps all
+# batch-32 UNet training step at 6.8 MB (tracemalloc). The threshold keeps all
 # of those on the heap, and the arrays that grow with the data too
 # (2,400 16x16 images are 4.9 MB).
 MMAP_THRESHOLD = 32 << 20

@@ -84,35 +84,41 @@ class Module:
 BLOCK_ROW_STEP = 8
 
 
+def row_blocks(n: int, block_rows: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of ``in_row_blocks``' passes over n rows: a cut
+    at every multiple of ``block_rows`` (itself a multiple of
+    ``BLOCK_ROW_STEP``), except that a last block under ``BLOCK_ROW_STEP``
+    rows joins the block before it. No rows make one empty block."""
+    if block_rows < 1 or block_rows % BLOCK_ROW_STEP:
+        raise ValueError(f"block_rows must be a positive multiple of {BLOCK_ROW_STEP}, got {block_rows}")
+    cuts = [*range(0, n, block_rows), n] if n else [0, 0]
+    if len(cuts) > 2 and n - cuts[-2] < BLOCK_ROW_STEP:
+        del cuts[-2]
+    return list(zip(cuts, cuts[1:]))
+
+
 def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
-    """``net(Tensor(x), *per_row).data`` without gradients, computed over
-    blocks of ``block_rows`` rows and concatenated along the rows.
+    """``net(Tensor(x), *per_row).data`` without gradients, computed over the
+    ``row_blocks`` of ``x`` and concatenated along the rows. A pass's buffers
+    (each conv's patch matrix or output-side product, each activation) grow
+    with its rows, so blocking bounds a pass's memory by its block, whatever
+    the row count.
 
-    Every input is cut at the same rows: at every multiple of
-    ``block_rows`` (itself a multiple of ``BLOCK_ROW_STEP``), except that a
-    last block under ``BLOCK_ROW_STEP`` rows joins the block before it. A
-    pass's buffers (each conv's patch matrix or output-side product, each
-    activation) grow with its rows, so blocking bounds a pass's memory by
-    its block, whatever the row count.
-
-    Rows are independent in every network here: convs, pooling and dense
-    layers sum over channels, taps and pixels, never over rows. What can
-    change with the row count is the order of a row's sums, and the cuts
-    avoid it where a whole pass avoids it too:
-    - OpenBLAS's x86-64 dgemm computes product columns 8 at a time; for
-      some column counts it computes the last 1-4 columns with a narrower
-      kernel that rounds differently. A conv's GEMM has a column per
-      position and row, rows innermost, so blocks of a multiple of 8 rows
-      leave no such tail, and the last block leaves none wherever every
-      GEMM of the whole pass has a multiple of 8 columns: at any row count
-      for the classifier and the autoencoder (16 positions or more), at an
-      even one for the UNet, whose 2x2 level has 4. An odd-sized UNet pass
-      can put its last rows through the narrower kernel, and then those
-      rows of the blocks differ from it in the last bits.
-    - numpy multiplies a one-row matrix with its vector routine and sums a
-      one-row pool pairwise; only a one-row pass has a one-row block.
-    Under those conditions each block's outputs are bitwise those rows of
-    one pass over all rows.
+    An odd-sized block runs with a copy of its last row (and of that row's
+    per-row inputs) appended, and that copy's output is dropped. Rows are
+    independent in every network here: convs, pooling and dense layers sum
+    over channels, taps and pixels, never over rows. What can change with
+    the row count is the order of a row's sums. OpenBLAS's x86-64 dgemm
+    computes product columns 8 at a time; for some column counts it
+    computes the last 1-4 columns with a narrower kernel that rounds
+    differently. A conv's GEMM has a column per position and row, rows
+    innermost, and the UNet's 2x2 level has 4 positions, so an odd-row pass
+    would put its last rows through the narrower kernel. With every pass
+    even, no GEMM here has such a tail (the classifier and the autoencoder
+    have 16 positions or more), and no pass has the one row that numpy
+    multiplies with its vector routine and pools pairwise. So a row's output
+    does not depend on how many rows share its pass: each block's outputs
+    are bitwise those rows of one even pass over all rows.
 
     Each model sets its block from its per-row bytes, the tracemalloc peak
     of one pass at the pipeline's sizes divided by its rows: the latent
@@ -121,19 +127,17 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     and 3.4 MB a block; the autoencoder's ``encode`` (40 KB) and ``decode``
     (47 KB) take 64, 2.5 and 3.0 MB. A 250-row denoiser pass took 3% longer
     in 128-row blocks than in one pass, and 14% longer in 64-row blocks
-    (medians of 30 alternating repeats, one BLAS thread, 2-vCPU x86-64). No rows make one empty pass, so the output keeps its
-    shape.
+    (medians of 30 alternating repeats, one BLAS thread, 2-vCPU x86-64). No
+    rows make one empty pass, so the output keeps its shape.
     """
-    if block_rows < 1 or block_rows % BLOCK_ROW_STEP:
-        raise ValueError(f"block_rows must be a positive multiple of {BLOCK_ROW_STEP}, got {block_rows}")
-    n = len(x)
-    cuts = [*range(0, n, block_rows), n] if n else [0, 0]
-    if len(cuts) > 2 and n - cuts[-2] < BLOCK_ROW_STEP:
-        del cuts[-2]
+    def one_pass(a: int, b: int) -> np.ndarray:
+        if (b - a) % 2 == 0:
+            return net(Tensor(x[a:b]), *(r[a:b] for r in per_row)).data
+        rows = [*range(a, b), b - 1]
+        return net(Tensor(x[rows]), *(r[rows] for r in per_row)).data[:-1]
+
     with T.no_grad():
-        return np.concatenate(
-            [net(Tensor(x[a:b]), *(r[a:b] for r in per_row)).data for a, b in zip(cuts, cuts[1:])]
-        )
+        return np.concatenate([one_pass(a, b) for a, b in row_blocks(len(x), block_rows)])
 
 
 class ModuleList(Module):

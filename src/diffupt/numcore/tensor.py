@@ -3,7 +3,12 @@
 Values live in numpy arrays. Every differentiable op appends a node to a
 per-thread tape; ``backward`` walks the tape in reverse execution order
 (always a valid topological order) and accumulates gradients into every
-tensor that requires them. The tape is cleared after each backward pass.
+tensor that requires them. The pass takes the tape and releases it node by
+node: once a node's gradients are added into its inputs, its closure, the
+buffers that closure saved (patch matrices, sigmoids, padded inputs) and
+its output are freed, unless the caller still holds that output, which
+then keeps its ``.grad``. A pass's memory is then about what its forward
+retained, falling as it walks back, not that plus every layer's gradient.
 
 Broadcasting is deliberately restricted: elementwise ops accept equal
 shapes, a python scalar, or a right operand whose shape equals the left
@@ -216,18 +221,24 @@ def backward(loss: Tensor) -> None:
     nodes = _TAPE.nodes
     _TAPE.nodes = []
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, fn in reversed(nodes):
-        if out.grad is None:
+    while nodes:
+        _accumulate(*nodes.pop())
+
+
+def _accumulate(out: Tensor, inputs: tuple, fn) -> None:
+    """Add one tape node's gradients into its inputs. Popped off the tape, the
+    node (its output, its closure with the buffers it saved, and the gradients
+    it returned) is freed when this returns, unless the caller holds ``out``."""
+    if out.grad is None:
+        return
+    for inp, g in zip(inputs, fn(out.grad)):
+        if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
             continue
-        grads = fn(out.grad)
-        for inp, g in zip(inputs, grads):
-            if g is None or not isinstance(inp, Tensor) or not inp.requires_grad:
-                continue
-            if inp.grad is None:
-                # a copy: g may be shared with another input or a read-only broadcast view
-                inp.grad = g.copy()
-            else:
-                inp.grad += g
+        if inp.grad is None:
+            # a copy: g may be shared with another input or a read-only broadcast view
+            inp.grad = g.copy()
+        else:
+            inp.grad += g
 
 
 # ---------------------------------------------------------------------------

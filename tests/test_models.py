@@ -1,5 +1,6 @@
-"""Model tests: network passes in row blocks, decoupled head retraining, the
-packed parameter buffer and fused Adam, non-finite weights."""
+"""Model tests: network passes in row blocks, the autoencoder's reconstruction
+report, decoupled head retraining, training-config checks, the packed
+parameter buffer and fused Adam, non-finite weights."""
 
 import tracemalloc
 
@@ -11,8 +12,9 @@ from diffupt import diffusion as D
 from diffupt import latentae as L
 from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
 from diffupt.data import SynthFundusConfig, generate_synth_fundus
-from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
-from diffupt.latentae import Autoencoder, decode, encode
+from diffupt.diffusion import DiffusionTrainConfig, UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
+from diffupt.latentae import AeTrainConfig, Autoencoder, decode, encode, reconstruction_report
+from diffupt.metrics import mean_ssim
 from diffupt.numcore import Linear, NonFiniteError, RngStream, ShapeError, Tensor, adam_step, backward, no_grad
 from diffupt.numcore.nn import BLOCK_ROW_STEP, in_row_blocks
 from diffupt.numcore.tensor import _sigmoid_np
@@ -42,10 +44,38 @@ def test_decode_runs_in_bounded_memory():
     assert peak < 8e6  # one 454-row pass peaks near 21 MB, 64-row blocks near 4.2 MB
 
 
-def _one_pass(net, x, *per_row):
-    """The oracle: ``net`` called once on every row, without gradients."""
+def _report_in_one_pass(ae, images, z, split):
+    """The oracle: ``reconstruction_report`` from one decoder pass over every row."""
     with no_grad():
-        return net(Tensor(x), *per_row).data
+        recon = ae.decode_t(Tensor(z)).data
+    return (split, float(np.mean((recon - images) ** 2)), mean_ssim(images, np.clip(recon, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 454])  # around the 64-row blocks, and the report's 454
+def test_reconstruction_report_equals_one_pass_bitwise(rows):
+    ae = _randomized(Autoencoder(16, 1, 16, 4, RngStream(0)))
+    images = RngStream(1).uniform((rows, 1, 16, 16))
+    z = encode(ae, images)
+    assert repr(reconstruction_report(ae, images, z, "train")) == repr(_report_in_one_pass(ae, images, z, "train"))
+
+
+def test_reconstruction_report_memory_grows_by_its_two_buffers():
+    # a squared error per pixel (2,048 bytes an image) and an SSIM value per
+    # 8x8 window (648 bytes); decoding and scoring all rows at once took 16.5 KB an image
+    ae = Autoencoder(16, 1, 16, 4, RngStream(0))
+    peaks = {}
+    for rows in (504, 4000):
+        images, z = RngStream(1).uniform((rows, 1, 16, 16)), RngStream(2).normal((rows, 4, 4, 4))
+        peaks[rows] = _peak_bytes(lambda: reconstruction_report(ae, images, z, "train"))
+    assert (peaks[4000] - peaks[504]) / (4000 - 504) <= 3 * 1024
+
+
+def _one_pass(net, x, *per_row):
+    """The oracle: ``net`` called once on every row, without gradients; at an
+    odd row count on a copy of the last row too, whose output is dropped."""
+    rows = np.minimum(np.arange(len(x) + len(x) % 2), len(x) - 1)
+    with no_grad():
+        return net(Tensor(x[rows]), *(r[rows] for r in per_row)).data[: len(x)]
 
 
 def _denoiser_pass(rows, model=None):
@@ -90,16 +120,10 @@ BLOCKED_PASSES = {
 
 
 # none, under one block, one block, and counts whose short last part joins the block before it
-ANY_ROWS = (0, 1, 2, 7, 8, 9, 16, 17, 21, 26)
-# the UNet's 2x2 level gives a GEMM 4 columns a row, and an odd-sized whole pass can
-# put its last columns through OpenBLAS's narrower tail kernel (see ``in_row_blocks``)
-EVEN_ROWS = (0, 2, 6, 8, 10, 16, 18, 26)
+ANY_ROWS = (0, 1, 2, 6, 7, 8, 9, 10, 16, 17, 18, 21, 26)
 
 
-@pytest.mark.parametrize(
-    "path, rows",
-    [(path, rows) for path in BLOCKED_PASSES for rows in (EVEN_ROWS if path == "denoiser.predict" else ANY_ROWS)],
-)
+@pytest.mark.parametrize("path, rows", [(path, rows) for path in BLOCKED_PASSES for rows in ANY_ROWS])
 def test_passes_in_row_blocks_equal_one_pass_bitwise(path, rows, monkeypatch):
     module, constant, make = BLOCKED_PASSES[path]
     monkeypatch.setattr(module, constant, BLOCK_ROW_STEP)  # the smallest block
@@ -107,6 +131,18 @@ def test_passes_in_row_blocks_equal_one_pass_bitwise(path, rows, monkeypatch):
     out, oracle = blocked(), one_pass()
     assert out.shape == oracle.shape and out.shape[0] == rows
     assert np.array_equal(out, oracle)
+
+
+def test_a_rows_noise_prediction_does_not_depend_on_how_many_rows_share_its_pass():
+    # at the UNet's 2x2 level a row gives a GEMM 4 columns; an odd-row pass would put
+    # its last columns through OpenBLAS's narrower tail kernel
+    model = UNetDenoiser((4, 4, 4), 16, RngStream(3), emb_dim=32)
+    rng = RngStream(40)
+    x, t, y = rng.normal((72, 4, 4, 4)), rng.integers((72,), 1, 51), rng.integers((72,), 0, 3)
+    for n in range(1, 70, 2):
+        odd = model.predict(x[:n], t[:n], y[:n])
+        for even in (n + 1, n + 3):
+            assert np.array_equal(odd, model.predict(x[:even], t[:even], y[:even])[:n]), (n, even)
 
 
 @pytest.mark.parametrize("block_rows", [0, 3, 12])
@@ -151,6 +187,32 @@ def _stage_one():
 def test_regime_rejects_sizes_that_cannot_train(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         TrainRegime(**bad)
+
+
+@pytest.mark.parametrize(
+    "config, bad",
+    [
+        (AeTrainConfig, {"iterations": -1}),
+        (AeTrainConfig, {"batch": 0}),
+        (DiffusionTrainConfig, {"iterations": -1}),
+        (DiffusionTrainConfig, {"batch": 0}),
+        (DiffusionTrainConfig, {"p_uncond": 1.5}),
+        (DiffusionTrainConfig, {"p_uncond": -0.1}),
+        (DiffusionTrainConfig, {"p_uncond": float("nan")}),
+        (DiffusionTrainConfig, {"ema_decay": 2.0}),
+        (DiffusionTrainConfig, {"ema_decay": -1e-3}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_generator_configs_reject_sizes_that_cannot_train(config, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        config(**bad)
+
+
+def test_generator_configs_accept_their_bounds():
+    AeTrainConfig(iterations=0, batch=1)
+    for p in (0.0, 1.0):
+        DiffusionTrainConfig(iterations=0, batch=1, p_uncond=p, ema_decay=p)
 
 
 def _feature_parameters(model):

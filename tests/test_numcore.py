@@ -4,6 +4,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +622,39 @@ def test_first_gradients_are_writable_and_unshared():
     for t in (a, b, x):
         assert t.grad.flags.writeable
         assert np.allclose(t.grad, central_difference(lambda: terms()[1], t), rtol=1e-6, atol=1e-8)
+
+
+def _backward_peak_above_forward(depth: int) -> int:
+    """tracemalloc peak of ``backward`` through ``depth`` equal convs, above
+    what their forward pass left allocated (the tape's saved buffers and outputs)."""
+    rng = RngStream(31)
+    convs = [Conv2d(8, 8, 3, rng.split(f"conv{i}"), pad=1, silu=True) for i in range(depth)]
+    for conv in convs:  # gradient buffers that persist are allocated up front
+        conv.w.tensor.grad, conv.b.tensor.grad = np.zeros(conv.w.shape), np.zeros(conv.b.shape)
+    x = Tensor(rng.normal((8, 8, 8, 16)))  # (C, H, W, B)
+
+    def loss():
+        h = x
+        for conv in convs:
+            h = conv(h)
+        return (h * h).mean()
+
+    tracemalloc.start()
+    try:
+        total = loss()
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(total)
+        return tracemalloc.get_traced_memory()[1] - retained
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_frees_each_node_as_it_passes():
+    # a layer's output, its gradient and its patch matrix are 64, 64 and 576 KB;
+    # a tape kept whole until the end keeps every layer's output gradient as well
+    shallow, deep = _backward_peak_above_forward(2), _backward_peak_above_forward(8)
+    assert deep - shallow < 8 * 8 * 8 * 16 * 8  # one layer's output
 
 
 def test_no_grad_suspends_tape():
