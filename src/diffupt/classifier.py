@@ -43,27 +43,23 @@ CLASSIFIER_PASS_ROWS = 128
 class ClassifierModel(Module):
     """Conv feature extractor over (C, H, W) images plus a one-logit sigmoid head."""
 
-    def __init__(
-        self,
-        input_shape: tuple[int, int, int],
-        rng: RngStream,
-        conv_channels: tuple[int, ...] = (8, 16),
-        feature_dim: int = 16,
-    ):
+    conv_channels = (8, 16)  # the stride-2 convs' widths
+    feature_dim = 16  # the pooled features' width
+
+    def __init__(self, input_shape: tuple[int, int, int], rng: RngStream):
         super().__init__()
         self.input_shape = tuple(input_shape)
         if len(self.input_shape) != 3:
             raise nc.ShapeError(f"input shape must be (C, H, W), got {self.input_shape}")
-        self.feature_dim = feature_dim
         self.trained = False
         r = rng.split("features")
         c_in = self.input_shape[0]
         self.convs = nc.ModuleList()
-        for i, c_out in enumerate(conv_channels):
+        for i, c_out in enumerate(self.conv_channels):
             self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1, silu=True))
             c_in = c_out
-        self.mix = Conv2d(c_in, feature_dim, 3, r.split("mix"), pad=1, silu=True)
-        self.head = Linear(feature_dim, 1, rng.split("head"))
+        self.mix = Conv2d(c_in, self.feature_dim, 3, r.split("mix"), pad=1, silu=True)
+        self.head = Linear(self.feature_dim, 1, rng.split("head"))
         self.pack_parameters()
 
     def features_t(self, x: Tensor) -> Tensor:
@@ -118,6 +114,8 @@ class TrainRegime:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass

@@ -109,8 +109,8 @@ class GuidanceSpec:
     w: float = 3.0
 
     def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("guidance scale must be >= 0")
+        if not (np.isfinite(self.w) and self.w >= 0):
+            raise ValueError(f"w must be finite and >= 0, got {self.w}")
 
 
 def cfg_epsilon(eps_cond: np.ndarray, eps_uncond: np.ndarray, w: float) -> np.ndarray:
@@ -203,19 +203,18 @@ class UNetDenoiser(DenoiserModel):
         data_shape: tuple[int, int, int],
         base_channels: int,
         rng: RngStream,
-        emb_dim: int = 32,
-        depth: int | None = None,
+        emb_dim: int,
     ):
         super().__init__()
         c, h, w = data_shape
         if h != w:
             raise ShapeError(f"square inputs required, got {data_shape}")
-        if depth is None:
-            depth = 1
-            while h // (2 ** (depth + 1)) >= 2:
-                depth += 1
-        if h // (2**depth) < 1:
-            raise ShapeError(f"depth {depth} too deep for {h}x{w} input")
+        if h < 2:
+            raise ShapeError(f"input must be at least 2x2, got {h}x{w}")
+        # halve as often as leaves the bottom level at least 2x2, and at least once
+        depth = 1
+        while h // (2 ** (depth + 1)) >= 2:
+            depth += 1
         self.data_shape = data_shape
         self.emb_dim = emb_dim
         self.depth = depth
@@ -304,6 +303,8 @@ class DiffusionTrainConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("p_uncond", "ema_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
@@ -374,6 +375,8 @@ class SampleMethod:
     def __post_init__(self):
         if self.kind not in ("ddim", "ddpm"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must lie in [0,1]")
 

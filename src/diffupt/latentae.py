@@ -35,11 +35,10 @@ from .numcore import (
 class Autoencoder(Module):
     """Encoder/decoder pair with a (latent_channels, H/4, W/4) bottleneck."""
 
-    def __init__(self, image_size: int = 16, in_channels: int = 1, base_channels: int = 16, latent_channels: int = 4, rng: RngStream | None = None):
+    def __init__(self, image_size: int, in_channels: int, base_channels: int, latent_channels: int, rng: RngStream):
         super().__init__()
         if image_size % 4 != 0:
             raise ShapeError(f"image size must be divisible by 4, got {image_size}")
-        rng = rng or RngStream(0)
         bc = base_channels
         self.image_shape = (in_channels, image_size, image_size)
         self.latent_shape = (latent_channels, image_size // 4, image_size // 4)
@@ -68,13 +67,12 @@ class Autoencoder(Module):
 AE_PASS_ROWS = 64
 
 
-def encode(ae: Autoencoder, images: np.ndarray, normalized: bool = False) -> np.ndarray:
-    """Deterministic image -> latent map; optionally whitened per channel."""
+def encode(ae: Autoencoder, images: np.ndarray) -> np.ndarray:
+    """Deterministic image -> latent map (``whiten`` gives what diffusion sees)."""
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != ae.image_shape:
         raise ShapeError(f"expected images shaped (N,{ae.image_shape}), got {images.shape}")
-    z = in_row_blocks(ae.encode_t, AE_PASS_ROWS, images)
-    return whiten(ae, z) if normalized else z
+    return in_row_blocks(ae.encode_t, AE_PASS_ROWS, images)
 
 
 def whiten(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
@@ -110,6 +108,8 @@ class AeTrainConfig:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 # the share of a set's last rows kept out of autoencoder training for the report

@@ -221,10 +221,14 @@ class GenerationPlan:
             raise ValueError(f"unknown filter {self.filter!r}")
         if not (0.0 < self.filter_threshold < 1.0):
             raise ValueError("filter threshold must lie in (0,1)")
-        if self.max_attempts_factor < 1.0:
-            raise ValueError("max_attempts_factor must be >= 1")
+        if not (np.isfinite(self.max_attempts_factor) and self.max_attempts_factor >= 1.0):
+            raise ValueError(f"max_attempts_factor must be finite and >= 1, got {self.max_attempts_factor}")
         if self.gen_batch < 1:
             raise ValueError(f"gen_batch must be >= 1, got {self.gen_batch}")
+
+    def attempt_budget(self, cls: int) -> int:
+        """The most samples class ``cls`` may draw to reach its target."""
+        return int(np.ceil(self.max_attempts_factor * self.target_counts[cls]))
 
 
 @dataclass
@@ -233,7 +237,6 @@ class GenerationStats:
     attempted: tuple[int, int] = (0, 0)
     kept: tuple[int, int] = (0, 0)
     sampling_seconds: float = 0.0
-    model_pair_calls: int = 0
 
 
 def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierModel, threshold: float) -> np.ndarray:
@@ -251,16 +254,18 @@ def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierM
 # ---------------------------------------------------------------------------
 
 
+# The generative stack's sizes. The schedule's betas are ``linear_schedule``'s
+# defaults, 1e-4 to 0.02, and the UNet's depth follows from the latent's size.
+AE_BASE_CHANNELS = 16
+LATENT_CHANNELS = 4
+UNET_BASE_CHANNELS = 16
+UNET_EMB_DIM = 32
+TIMESTEPS = 1000
+
+
 @dataclass
 class StackConfig:
-    ae_base_channels: int = 16
-    latent_channels: int = 4
     ae: AeTrainConfig = field(default_factory=AeTrainConfig)
-    timesteps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    unet_base_channels: int = 16
-    emb_dim: int = 32
     diffusion: DiffusionTrainConfig = field(default_factory=DiffusionTrainConfig)
 
 
@@ -286,13 +291,13 @@ def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngS
     """Autoencoder, latent calibration, then conditional latent denoiser, for
     the square images of ``train_ds``."""
     channels, size = train_ds.images.shape[1:3]
-    ae = Autoencoder(size, channels, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
+    ae = Autoencoder(size, channels, AE_BASE_CHANNELS, LATENT_CHANNELS, rng.split("ae-init"))
     train_autoencoder(ae, train_ds, cfg.ae, rng.split("ae-train"))
     # one encode of every row serves the calibration, the report and the denoiser's latents
     z = encode(ae, train_ds.images)
     ae_report = calibrate_and_report(ae, train_ds.images, z, trained=cfg.ae.iterations > 0)
-    sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
-    denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
+    sched = linear_schedule(TIMESTEPS)
+    denoiser = UNetDenoiser(ae.latent_shape, UNET_BASE_CHANNELS, rng.split("unet-init"), emb_dim=UNET_EMB_DIM)
     losses = train_diffusion(denoiser, whiten(ae, z), train_ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
     return GenerativeStack(ae=ae, denoiser=denoiser, sched=sched, ae_report=ae_report, unet_losses=losses)
 
@@ -303,7 +308,6 @@ class _ClassDraw:
 
     kept: np.ndarray  # samples that passed the plan's filter, at most the class target
     attempted: int
-    batches: int
 
 
 def _generate_class(
@@ -311,20 +315,18 @@ def _generate_class(
 ) -> _ClassDraw:
     """Sample class ``cls`` in batches of ``plan.gen_batch`` until its target is
     kept or its attempt budget is spent."""
-    target = plan.target_counts[cls]
-    budget = int(np.ceil(plan.max_attempts_factor * target))
+    target, budget = plan.target_counts[cls], plan.attempt_budget(cls)
     kept = [np.zeros((0,) + stack.image_shape)]
-    n_kept = attempted = batches = 0
+    n_kept = attempted = 0
     while n_kept < target and attempted < budget:
         n = min(plan.gen_batch, budget - attempted)
         batch = stack.sample_class(n, cls, plan.guidance, plan.method, rng)
         attempted += n
-        batches += 1
         if plan.filter == "baseline":
             batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
         kept.append(batch[: target - n_kept])
         n_kept += len(kept[-1])
-    return _ClassDraw(np.concatenate(kept), attempted, batches)
+    return _ClassDraw(np.concatenate(kept), attempted)
 
 
 def generate_balanced_dataset(
@@ -344,13 +346,11 @@ def generate_balanced_dataset(
     draws = [d or draw(cls, rngs[cls]) for cls, d in enumerate(_lanes(jobs))]
     kept_counts = tuple(len(d.kept) for d in draws)
     attempted = tuple(d.attempted for d in draws)
-    steps = plan.method.steps if plan.method.kind == "ddim" else stack.sched.T
     stats = GenerationStats(
         requested=tuple(plan.target_counts),
         attempted=attempted,
         kept=kept_counts,
         sampling_seconds=time.perf_counter() - t0,
-        model_pair_calls=steps * sum(d.batches for d in draws),
     )
 
     ds = class_dataset([d.kept for d in draws], SYNTHETIC)
@@ -410,8 +410,6 @@ class DiffuPTResult:
 class ExperimentContext:
     """Shared ingredients for the comparison and ablation experiments."""
 
-    clf_channels: tuple[int, ...] = (8, 16)
-    clf_feature_dim: int = 16
     regime: TrainRegime = field(default_factory=TrainRegime)
     stack_cfg: StackConfig = field(default_factory=StackConfig)
     diffupt_cfg: DiffuPTConfig = field(default_factory=DiffuPTConfig)
@@ -420,8 +418,7 @@ class ExperimentContext:
     _bound: tuple[Splits, RngStream] | None = field(default=None, init=False, repr=False)
 
     def new_classifier(self, splits: Splits, rng: RngStream) -> ClassifierModel:
-        shape = splits.train.images.shape[1:]
-        return ClassifierModel(shape, rng, conv_channels=self.clf_channels, feature_dim=self.clf_feature_dim)
+        return ClassifierModel(splits.train.images.shape[1:], rng)
 
     def bind(self, splits: Splits, rng: RngStream) -> None:
         """Tie the shared baseline and stack to ``splits`` and to the stream they
@@ -736,8 +733,7 @@ def filtering_ablation(
     def draw(cls: int) -> tuple[np.ndarray, np.ndarray]:
         """One batch of the class's whole budget: its first ``target`` samples, and the first ``target`` that pass the filter."""
         target = plan.target_counts[cls]
-        budget = int(np.ceil(plan.max_attempts_factor * target))
-        pool = stack.sample_class(budget, cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}"))
+        pool = stack.sample_class(plan.attempt_budget(cls), cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}"))
         return pool[:target], filter_samples(pool, cls, baseline, plan.filter_threshold)[:target]
 
     # the two classes in two lanes; a class with no target draws nothing

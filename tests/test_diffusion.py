@@ -398,7 +398,7 @@ def test_train_converges_on_constant_image():
     sched = linear_schedule(100)
     x0 = np.full((16, 1, 4, 4), 0.5)
     y = np.zeros(16, dtype=np.int64)
-    model = UNetDenoiser((1, 4, 4), 8, rng.split("m"), emb_dim=16, depth=1)
+    model = UNetDenoiser((1, 4, 4), 8, rng.split("m"), emb_dim=16)
     losses = train_diffusion(model, x0, y, DiffusionTrainConfig(iterations=500, batch=16, lr=3e-3), sched, rng.split("t"))
     ema = smoothed(losses)
     assert ema[-1] < 0.1 * ema[0]

@@ -70,6 +70,47 @@ def test_reconstruction_report_memory_grows_by_its_two_buffers():
     assert (peaks[4000] - peaks[504]) / (4000 - 504) <= 3 * 1024
 
 
+class _ZeroNoise:
+    """A denoiser that predicts zero noise and counts its passes."""
+
+    null_token = D.NULL_TOKEN
+
+    def __init__(self, data_shape):
+        self.data_shape = data_shape
+        self.calls = 0
+
+    def predict(self, x, t, y):
+        self.calls += 1
+        return np.zeros_like(x)
+
+
+_SAMPLING = (D.GuidanceSpec(3.0), D.SampleMethod("ddim", steps=3), linear_schedule(20))
+
+
+def test_latent_sample_of_no_rows_runs_no_denoiser_pass():
+    ae = Autoencoder(16, 1, 8, 4, RngStream(0))
+    denoiser = _ZeroNoise(ae.latent_shape)
+    assert L.latent_diffusion_sample(ae, denoiser, 0, 1, *_SAMPLING, RngStream(4)).shape == (0, 1, 16, 16)
+    assert denoiser.calls == 0
+
+
+def test_latent_sample_is_its_decoded_latents_clamped_into_the_unit_interval():
+    ae = _randomized(Autoencoder(16, 1, 8, 4, RngStream(0)))
+    ae.latent_shift[...], ae.latent_scale[...] = 0.5, 2.0
+    denoiser = _ZeroNoise(ae.latent_shape)
+    out = L.latent_diffusion_sample(ae, denoiser, 5, 1, *_SAMPLING, RngStream(4))
+    raw = decode(ae, D.sample_raw(denoiser, 5, 1, *_SAMPLING, RngStream(4)), normalized=True)
+    assert raw.min() < 0.0 and raw.max() > 1.0  # so the clamp has work to do
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert np.array_equal(out, np.clip(raw, 0.0, 1.0))
+
+
+def test_latent_sample_rejects_a_denoiser_of_other_latents():
+    ae = Autoencoder(16, 1, 8, 4, RngStream(0))
+    with pytest.raises(ShapeError, match="latents"):
+        L.latent_diffusion_sample(ae, _ZeroNoise((4, 2, 2)), 3, 1, *_SAMPLING, RngStream(4))
+
+
 def _one_pass(net, x, *per_row):
     """The oracle: ``net`` called once on every row, without gradients; at an
     odd row count on a copy of the last row too, whose output is dropped."""
@@ -183,7 +224,14 @@ def _stage_one():
     return model, ds
 
 
-@pytest.mark.parametrize("bad", [{"batch": 0}, {"eval_every": 0}, {"iterations": -1}], ids=["batch", "eval_every", "iterations"])
+_BAD_LRS = [{"lr": lr} for lr in (-1.0, 0.0, float("nan"), float("inf"))]  # uphill, standing still or non-finite
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"batch": 0}, {"eval_every": 0}, {"iterations": -1}, *_BAD_LRS],
+    ids=["batch", "eval_every", "iterations", *(f"lr={b['lr']}" for b in _BAD_LRS)],
+)
 def test_regime_rejects_sizes_that_cannot_train(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         TrainRegime(**bad)
@@ -201,6 +249,7 @@ def test_regime_rejects_sizes_that_cannot_train(bad):
         (DiffusionTrainConfig, {"p_uncond": float("nan")}),
         (DiffusionTrainConfig, {"ema_decay": 2.0}),
         (DiffusionTrainConfig, {"ema_decay": -1e-3}),
+        *((config, bad) for config in (AeTrainConfig, DiffusionTrainConfig) for bad in _BAD_LRS),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
@@ -210,9 +259,10 @@ def test_generator_configs_reject_sizes_that_cannot_train(config, bad):
 
 
 def test_generator_configs_accept_their_bounds():
-    AeTrainConfig(iterations=0, batch=1)
+    AeTrainConfig(iterations=0, batch=1, lr=5e-324)
     for p in (0.0, 1.0):
-        DiffusionTrainConfig(iterations=0, batch=1, p_uncond=p, ema_decay=p)
+        DiffusionTrainConfig(iterations=0, batch=1, lr=5e-324, p_uncond=p, ema_decay=p)
+    TrainRegime(iterations=0, batch=1, eval_every=1, lr=5e-324)
 
 
 def _feature_parameters(model):

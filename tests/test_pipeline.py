@@ -223,21 +223,33 @@ def test_stack_encodes_each_training_image_once(monkeypatch):
 
     # the same stack from separate encodes: the calibration's, each report row's and the denoiser's
     rng = RngStream(5)
-    ae = L.Autoencoder(16, 1, cfg.ae_base_channels, cfg.latent_channels, rng.split("ae-init"))
+    ae = L.Autoencoder(16, 1, P.AE_BASE_CHANNELS, P.LATENT_CHANNELS, rng.split("ae-init"))
     L.train_autoencoder(ae, ds, cfg.ae, rng.split("ae-train"))
     n = L.training_rows(len(ds))
     assert n == 126
     L.calibrate_latents(ae, encode(ae, ds.images[:n]))
     rows = [L.reconstruction_report(ae, part, encode(ae, part), split) for part, split in ((ds.images[:n], "train"), (ds.images[n:], "holdout"))]
-    sched = linear_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
-    denoiser = UNetDenoiser(ae.latent_shape, cfg.unet_base_channels, rng.split("unet-init"), emb_dim=cfg.emb_dim)
-    latents = encode(ae, ds.images, normalized=True)
+    sched = linear_schedule(P.TIMESTEPS)
+    denoiser = UNetDenoiser(ae.latent_shape, P.UNET_BASE_CHANNELS, rng.split("unet-init"), emb_dim=P.UNET_EMB_DIM)
+    latents = L.whiten(ae, encode(ae, ds.images))
     losses = train_diffusion(denoiser, latents, ds.labels.astype(np.int64), cfg.diffusion, sched, rng.split("unet-train"))
     assert stack.ae.weight_bytes() == ae.weight_bytes()  # the latent shift and scale buffers included
     assert repr(stack.ae_report.rows) == repr(rows)
     assert stack.denoiser.weight_bytes() == denoiser.weight_bytes()
     # the UNet's loss curve, one value per configured iteration
     assert stack.unet_losses.shape == (cfg.diffusion.iterations,) and np.array_equal(stack.unet_losses, losses)
+
+
+def test_stack_has_the_fixed_sizes():
+    ds = generate_synth_fundus(SynthFundusConfig(seed=3), 12, 4)
+    assert ds.images.shape[1:] == (1, 16, 16)
+    cfg = P.StackConfig(ae=AeTrainConfig(iterations=0), diffusion=DiffusionTrainConfig(iterations=0))
+    stack = P.train_generative_stack(ds, cfg, RngStream(5))
+    assert stack.ae.latent_shape == (4, 4, 4) and stack.ae.enc1.w.data.shape[0] == 16
+    unet = stack.denoiser
+    assert unet.data_shape == (4, 4, 4) and unet.depth == 1
+    assert unet.stem.w.data.shape[0] == 16 and unet.emb_dim == 32
+    assert stack.sched.T == 1000 and (stack.sched.beta[0], stack.sched.beta[-1]) == (1e-4, 0.02)
 
 
 def test_sampling_peak_memory_does_not_grow_with_the_batch():
@@ -257,6 +269,35 @@ def test_plan_rejects_a_generation_batch_below_one(gen_batch):
     # a batch of 0 never adds to the attempts, so generation would never return
     with pytest.raises(ValueError, match="gen_batch"):
         P.GenerationPlan(gen_batch=gen_batch)
+
+
+@pytest.mark.parametrize(
+    "config, bad",
+    [
+        (GuidanceSpec, {"w": float("nan")}),
+        (GuidanceSpec, {"w": float("inf")}),
+        (GuidanceSpec, {"w": -1.0}),
+        (P.GenerationPlan, {"max_attempts_factor": float("nan")}),
+        (P.GenerationPlan, {"max_attempts_factor": float("inf")}),
+        (SampleMethod, {"steps": 0}),
+        (SampleMethod, {"steps": -2}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_generation_settings_reject_values_that_would_fail_only_at_generation(config, bad):
+    # each would be accepted here and fail in sampling, after the baseline and the stack had trained
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
+        config(**bad)
+
+
+def test_generation_settings_accept_their_bounds():
+    plan = P.GenerationPlan(guidance=GuidanceSpec(w=0.0), method=SampleMethod(steps=1), max_attempts_factor=1.0)
+    assert plan.attempt_budget(1) == plan.target_counts[1]
+
+
+def test_attempt_budget_is_the_factor_times_the_target_rounded_up():
+    plan = P.GenerationPlan(target_counts=(3, 0), max_attempts_factor=2.5)
+    assert (plan.attempt_budget(0), plan.attempt_budget(1)) == (8, 0)
 
 
 def test_shortfall_error_survives_pickling():
