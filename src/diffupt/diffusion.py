@@ -138,7 +138,7 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 # Rows per network pass in ``DenoiserModel.predict`` (``in_row_blocks`` gives
 # the per-row bytes); the sampler's update and RNG draws stay whole-batch.
-DENOISER_PASS_ROWS = 128
+DENOISER_PASS_ROWS = 64
 
 
 class DenoiserModel(Module):

@@ -21,8 +21,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # where glibc's own rule ends once it has freed a block of its 32 MB maximum.
 # Network passes run in row blocks (``nn.in_row_blocks``), so no pass's buffers
-# grow with its rows: a whole 128-row denoiser pass peaks at 6.7 MB and a
-# batch-32 UNet training step at 6.8 MB (tracemalloc). The threshold keeps all
+# grow with its rows: a whole 64-row denoiser pass peaks at 3.4 MB, and a
+# batch-32 UNet training step at 3.8 MB, since its stride-1 convs rebuild their
+# patch matrices in the backward pass; a batch-32 autoencoder step peaks at
+# 5.4 MB (tracemalloc, each step after a warm-up step). The threshold keeps all
 # of those on the heap, and the arrays that grow with the data too
 # (2,400 16x16 images are 4.9 MB).
 MMAP_THRESHOLD = 32 << 20

@@ -121,14 +121,17 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     are bitwise those rows of one even pass over all rows.
 
     Each model sets its block from its per-row bytes, the tracemalloc peak
-    of one pass at the pipeline's sizes divided by its rows: the latent
-    UNet's ``DenoiserModel.predict`` (52 KB a row) and the classifier's
-    ``predict_proba`` and ``extract_features`` (27 KB) take 128 rows, 6.7
-    and 3.4 MB a block; the autoencoder's ``encode`` (40 KB) and ``decode``
-    (47 KB) take 64, 2.5 and 3.0 MB. A 250-row denoiser pass took 3% longer
-    in 128-row blocks than in one pass, and 14% longer in 64-row blocks
-    (medians of 30 alternating repeats, one BLAS thread, 2-vCPU x86-64). No
-    rows make one empty pass, so the output keeps its shape.
+    of one pass at the pipeline's sizes divided by its rows, so that no
+    block peaks much above the 3.4 MB of the classifier's: the classifier's
+    ``predict_proba`` and ``extract_features`` (27 KB a row) take 128 rows,
+    3.4 MB a block; the latent UNet's ``DenoiserModel.predict`` (52 KB)
+    takes 64, 3.4 MB; the autoencoder's ``encode`` (40 KB) and ``decode``
+    (47 KB) take 64, 2.5 and 3.0 MB. A 250-row denoiser pass took 4-6%
+    longer in 128-row blocks than in one pass, and 8-19% longer in 64-row
+    blocks (medians of 30 alternating repeats, two runs, one BLAS thread,
+    2-vCPU x86-64); sampling spends that to peak at half the 128-row
+    block's 6.7 MB. No rows make one empty pass, so the output keeps its
+    shape.
     """
     def one_pass(a: int, b: int) -> np.ndarray:
         if (b - a) % 2 == 0:

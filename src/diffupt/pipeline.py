@@ -225,6 +225,9 @@ class GenerationPlan:
             raise ValueError(f"max_attempts_factor must be finite and >= 1, got {self.max_attempts_factor}")
         if self.gen_batch < 1:
             raise ValueError(f"gen_batch must be >= 1, got {self.gen_batch}")
+        # DDPM walks every timestep and ignores steps
+        if self.method.kind == "ddim" and self.method.steps > TIMESTEPS:
+            raise ValueError(f"steps must be <= the schedule's {TIMESTEPS} timesteps for DDIM, got {self.method.steps}")
 
     def attempt_budget(self, cls: int) -> int:
         """The most samples class ``cls`` may draw to reach its target."""

@@ -234,11 +234,13 @@ class _CountingArray(np.ndarray):
 
 
 def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
-    # during backward, _im2col (stride 1) or _col2im (stride 2) runs only for the input gradient
+    # during backward the input gradient is an _im2col of the Cout-channel output
+    # gradient (stride 1) or a _col2im (stride 2); a stride-1 weight gradient also
+    # rebuilds the patch matrix of the Cin-channel input, which is not counted
     calls = []
     for name in ("_im2col", "_col2im"):
         fn = getattr(tops, name)
-        monkeypatch.setattr(tops, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+        monkeypatch.setattr(tops, name, lambda *a, fn=fn, name=name: calls.append((name, a[0].shape[0])) or fn(*a))
     # an upsampling conv's backward multiplies by its folded kernel only for the input gradient
     fold = tops._fold_kernel
     monkeypatch.setattr(tops, "_fold_kernel", lambda w: fold(w).view(_CountingArray))
@@ -252,8 +254,41 @@ def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
             _CountingArray.products = 0
             backward(loss)
             assert w.grad is not None and (x.grad is not None) == needs_grad
-            assert len(calls) == (needs_grad and upsample == 1)
+            on_output_gradient = [c for name, c in calls if name == "_col2im" or c == cout]
+            assert len(on_output_gradient) == (needs_grad and upsample == 1)
             assert _CountingArray.products == (needs_grad and upsample == 2)
+
+
+@pytest.mark.parametrize(
+    "cout, bound",
+    [
+        pytest.param(16, 144 * 512 * 8, id="patch-side"),  # one 144 x 512 patch matrix
+        pytest.param(4, 16 * 6 * 6 * 32 * 8, id="output-side"),  # one (16, 6, 6, 32) padded input
+    ],
+)
+def test_stride1_conv_forward_keeps_no_patch_matrix_in_memory(cout, bound):
+    # a stride-1 conv at the UNet's 16-channel 4x4 level, batch 32: its backward rebuilds
+    # the patch matrix or the padded input from x, which the tape holds as the node's input
+    rng = RngStream(23)
+    x = Tensor(rng.normal((16, 4, 4, 32)), requires_grad=True)
+    w = Tensor(rng.normal((cout, 16, 3, 3)), requires_grad=True)
+    r = rng.normal((cout, 4, 4, 32))
+    backward((conv2d(x, w, pad=1) * Tensor(r)).sum())  # warm-up
+    x.grad = w.grad = None
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, pad=1)
+        retained = tracemalloc.get_traced_memory()[0]  # the output is 64 or 16 KB
+    finally:
+        tracemalloc.stop()
+    assert retained < bound
+    backward((out * Tensor(r)).sum())  # the output gradient is r
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    reference = (r.reshape(cout, -1) @ tops._im2col(xp, 3, 3, 1, 4, 4).T).reshape(w.shape)
+    if cout == 16:  # the patch side's weight gradient is this product, bitwise
+        assert np.array_equal(w.grad, reference)
+    else:  # the output side sums the same terms in another order
+        assert np.allclose(w.grad, reference, rtol=1e-12, atol=1e-12)
 
 
 # (input, kernel) of the upsampling convs the pipeline runs, at its batch sizes:
