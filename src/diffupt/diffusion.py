@@ -145,7 +145,6 @@ class DenoiserModel(Module):
     """Base: noise predictor conditioned on timestep and class token."""
 
     data_shape: tuple[int, ...]
-    null_token = NULL_TOKEN
 
     def __call__(self, x: Tensor, t: np.ndarray, y: np.ndarray) -> Tensor:
         raise NotImplementedError
@@ -368,17 +367,14 @@ def smoothed(losses: np.ndarray, alpha: float = 0.05) -> np.ndarray:
 
 @dataclass
 class SampleMethod:
-    kind: str = "ddim"  # ddim | ddpm
+    kind: str = "ddim"  # ddim (deterministic, eta = 0) | ddpm
     steps: int = 50
-    eta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("ddim", "ddpm"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError("eta must lie in [0,1]")
 
 
 def ddpm_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule, rng: RngStream) -> np.ndarray:
@@ -442,7 +438,7 @@ def sample_raw(
     sched: NoiseSchedule,
     rng: RngStream,
 ) -> np.ndarray:
-    """Reverse-process samples without any output clamping."""
+    """Reverse-process samples, unclamped (``latentae.latent_diffusion_sample`` decodes and clamps them)."""
     shape = (n,) + tuple(model.data_shape)
     if n == 0:
         return np.zeros(shape)
@@ -456,18 +452,5 @@ def sample_raw(
         for i, t in enumerate(ts):
             t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
             eps = predict_eps(model, x, int(t), y, guidance.w)
-            x = ddim_step(x, int(t), t_prev, eps, sched, method.eta, rng)
+            x = ddim_step(x, int(t), t_prev, eps, sched)
     return x
-
-
-def sample(
-    model: DenoiserModel,
-    n: int,
-    y: int,
-    guidance: GuidanceSpec,
-    method: SampleMethod,
-    sched: NoiseSchedule,
-    rng: RngStream,
-) -> np.ndarray:
-    """Class-conditional samples clamped into [0,1] (``sample_raw`` is the unclamped path)."""
-    return np.clip(sample_raw(model, n, y, guidance, method, sched, rng), 0.0, 1.0)

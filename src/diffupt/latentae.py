@@ -3,7 +3,10 @@
 The encoder compresses images by a power-of-two spatial factor into a
 small multichannel latent; diffusion then runs on whitened latents (the
 per-channel shift/scale calibrated after training is stored with the
-model weights) and decoded samples are clamped at the consumer.
+model weights). ``encode`` and ``decode`` work on raw latents; ``whiten``
+and ``unwhiten`` convert between those and what diffusion sees.
+``latent_diffusion_sample`` is the one path from noise to images: sample
+whitened latents, unwhiten, decode, clamp into [0, 1].
 """
 
 from __future__ import annotations
@@ -80,13 +83,17 @@ def whiten(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
     return (z - ae.latent_shift[:, None, None]) / ae.latent_scale[:, None, None]
 
 
-def decode(ae: Autoencoder, z: np.ndarray, normalized: bool = False) -> np.ndarray:
-    """Latent -> image map; output is unclamped (clamp at the consumer)."""
+def unwhiten(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
+    """The inverse of ``whiten``: whitened latents back to ``encode``'s raw ones."""
+    return z * ae.latent_scale[:, None, None] + ae.latent_shift[:, None, None]
+
+
+def decode(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
+    """Raw latent -> image map (``unwhiten`` first for whitened latents);
+    output is unclamped (clamp at the consumer)."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[1:] != ae.latent_shape:
         raise ShapeError(f"expected latents shaped (N,{ae.latent_shape}), got {z.shape}")
-    if normalized:
-        z = z * ae.latent_scale[:, None, None] + ae.latent_shift[:, None, None]
     return in_row_blocks(ae.decode_t, AE_PASS_ROWS, z)
 
 
@@ -194,7 +201,7 @@ def latent_diffusion_sample(
     sched: df.NoiseSchedule,
     rng: RngStream,
 ) -> np.ndarray:
-    """Sample whitened latents, decode, clamp into [0,1]."""
+    """Sample whitened latents, unwhiten, decode, clamp into [0,1]."""
     if tuple(denoiser.data_shape) != tuple(ae.latent_shape):
         raise ShapeError(
             f"denoiser works on {denoiser.data_shape} but autoencoder latents are {ae.latent_shape}"
@@ -202,4 +209,4 @@ def latent_diffusion_sample(
     if n == 0:
         return np.zeros((0,) + ae.image_shape)
     z = df.sample_raw(denoiser, n, y, guidance, method, sched, rng)
-    return np.clip(decode(ae, z, normalized=True), 0.0, 1.0)
+    return np.clip(decode(ae, unwhiten(ae, z)), 0.0, 1.0)

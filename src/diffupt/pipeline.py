@@ -57,7 +57,6 @@ from .diffusion import (
     SampleMethod,
     UNetDenoiser,
     linear_schedule,
-    sample,
     train_diffusion,
 )
 from .latentae import (
@@ -204,6 +203,11 @@ class GenerationShortfallError(RuntimeError):
         return type(self), (str(self), self.partial, self.stats)
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is a whole number >= 0: a Python or numpy integer, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
 @dataclass
 class GenerationPlan:
     target_counts: tuple[int, int] = (1200, 1200)  # (n_negative, n_positive)
@@ -215,8 +219,9 @@ class GenerationPlan:
     gen_batch: int = 256
 
     def __post_init__(self):
-        if min(self.target_counts) < 0:
-            raise ValueError("target counts must be >= 0")
+        counts = self.target_counts
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 2 and all(map(_is_count, counts))):
+            raise ValueError(f"target_counts must be a pair of whole numbers >= 0, got {counts!r}")
         if self.filter not in ("none", "baseline"):
             raise ValueError(f"unknown filter {self.filter!r}")
         if not (0.0 < self.filter_threshold < 1.0):
@@ -274,19 +279,13 @@ class StackConfig:
 
 @dataclass
 class GenerativeStack:
-    ae: Autoencoder | None
+    ae: Autoencoder
     denoiser: DenoiserModel
     sched: NoiseSchedule
     ae_report: ReconstructionReport | None = None
     unet_losses: np.ndarray | None = None  # the denoiser's per-iteration training loss
 
-    @property
-    def image_shape(self) -> tuple[int, ...]:
-        return tuple(self.denoiser.data_shape if self.ae is None else self.ae.image_shape)
-
     def sample_class(self, n: int, y: int, guidance: GuidanceSpec, method: SampleMethod, rng: RngStream) -> np.ndarray:
-        if self.ae is None:
-            return sample(self.denoiser, n, y, guidance, method, self.sched, rng)
         return latent_diffusion_sample(self.ae, self.denoiser, n, y, guidance, method, self.sched, rng)
 
 
@@ -319,7 +318,7 @@ def _generate_class(
     """Sample class ``cls`` in batches of ``plan.gen_batch`` until its target is
     kept or its attempt budget is spent."""
     target, budget = plan.target_counts[cls], plan.attempt_budget(cls)
-    kept = [np.zeros((0,) + stack.image_shape)]
+    kept = [np.zeros((0,) + stack.ae.image_shape)]
     n_kept = attempted = 0
     while n_kept < target and attempted < budget:
         n = min(plan.gen_batch, budget - attempted)
@@ -689,7 +688,11 @@ def distribution_ablation(
     ctx: ExperimentContext | None = None,
 ) -> list[DistributionRow]:
     """Pretrain-only models on synthetic sets of varying class composition."""
+    if not _is_count(total):
+        raise ValueError(f"total must be a whole number >= 0, got {total!r}")
     for pos_pct, neg_pct in distributions:
+        if not (0 <= pos_pct <= 100 and 0 <= neg_pct <= 100):
+            raise ValueError(f"distribution shares must lie in [0, 100], got {pos_pct}-{neg_pct}")
         if pos_pct + neg_pct != 100:
             raise ValueError(f"distribution must sum to 100, got {pos_pct}-{neg_pct}")
     ctx = ctx or ExperimentContext()
@@ -740,7 +743,7 @@ def filtering_ablation(
         return pool[:target], filter_samples(pool, cls, baseline, plan.filter_threshold)[:target]
 
     # the two classes in two lanes; a class with no target draws nothing
-    empty = np.zeros((0,) + stack.image_shape)
+    empty = np.zeros((0,) + stack.ae.image_shape)
     drawn = _lanes([partial(draw, cls) if plan.target_counts[cls] else None for cls in (0, 1)])
     all_samples, filtered = zip(*(d or (empty, empty) for d in drawn))
 

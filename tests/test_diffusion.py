@@ -10,7 +10,6 @@ from diffupt.diffusion import (
     DivergenceError,
     GuidanceSpec,
     MlpDenoiser,
-    NULL_TOKEN,
     SampleMethod,
     UNetDenoiser,
     cfg_epsilon,
@@ -20,7 +19,6 @@ from diffupt.diffusion import (
     diffusion_loss,
     linear_schedule,
     q_sample,
-    sample,
     sample_raw,
     smoothed,
     train_diffusion,
@@ -164,8 +162,6 @@ def test_guidance_spec_validation():
 class _EchoNoise:
     """Mock denoiser returning exactly the realized forward noise."""
 
-    null_token = NULL_TOKEN
-
     def __init__(self, sched):
         self.sched = sched
         self.calls = 0
@@ -178,8 +174,6 @@ class _EchoNoise:
 
 
 class _Zero:
-    null_token = NULL_TOKEN
-
     def __call__(self, z_t, t, y):
         return Tensor(np.zeros_like(z_t.data))
 
@@ -324,8 +318,6 @@ def test_ddim_timesteps_accounting():
 
 
 class _CountingModel:
-    null_token = NULL_TOKEN
-
     def __init__(self, shape):
         self.data_shape = shape
         self.calls = 0
@@ -338,7 +330,7 @@ class _CountingModel:
 def test_sample_empty_batch():
     s = linear_schedule(10)
     m = _CountingModel((1, 4, 4))
-    out = sample(m, 0, 1, GuidanceSpec(), SampleMethod("ddim", 5), s, RngStream(14))
+    out = sample_raw(m, 0, 1, GuidanceSpec(), SampleMethod("ddim", 5), s, RngStream(14))
     assert out.shape == (0, 1, 4, 4)
     assert m.calls == 0
 
@@ -346,15 +338,8 @@ def test_sample_empty_batch():
 def test_sample_ddim_model_pair_accounting():
     s = linear_schedule(1000)
     m = _CountingModel((1, 2, 2))
-    sample(m, 3, 1, GuidanceSpec(), SampleMethod("ddim", 50), s, RngStream(15))
+    sample_raw(m, 3, 1, GuidanceSpec(), SampleMethod("ddim", 50), s, RngStream(15))
     assert m.calls == 100  # 50 steps x (conditional + unconditional)
-
-
-def test_sample_clamps_to_unit_interval():
-    s = linear_schedule(20)
-    m = _CountingModel((1, 2, 2))
-    out = sample(m, 5, 0, GuidanceSpec(), SampleMethod("ddim", 10), s, RngStream(16))
-    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def _toy_setup(seed):

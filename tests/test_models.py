@@ -73,8 +73,6 @@ def test_reconstruction_report_memory_grows_by_its_two_buffers():
 class _ZeroNoise:
     """A denoiser that predicts zero noise and counts its passes."""
 
-    null_token = D.NULL_TOKEN
-
     def __init__(self, data_shape):
         self.data_shape = data_shape
         self.calls = 0
@@ -99,10 +97,19 @@ def test_latent_sample_is_its_decoded_latents_clamped_into_the_unit_interval():
     ae.latent_shift[...], ae.latent_scale[...] = 0.5, 2.0
     denoiser = _ZeroNoise(ae.latent_shape)
     out = L.latent_diffusion_sample(ae, denoiser, 5, 1, *_SAMPLING, RngStream(4))
-    raw = decode(ae, D.sample_raw(denoiser, 5, 1, *_SAMPLING, RngStream(4)), normalized=True)
+    raw = decode(ae, L.unwhiten(ae, D.sample_raw(denoiser, 5, 1, *_SAMPLING, RngStream(4))))
     assert raw.min() < 0.0 and raw.max() > 1.0  # so the clamp has work to do
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert np.array_equal(out, np.clip(raw, 0.0, 1.0))
+
+
+def test_unwhiten_inverts_whiten():
+    ae = Autoencoder(16, 1, 8, 4, RngStream(0))
+    ae.latent_shift[...] = [0.5, -1.25, 3.0, 40.0]
+    ae.latent_scale[...] = [2.0, 0.3, 1e-3, 7.5]
+    z = RngStream(1).normal((5, 4, 4, 4))
+    assert not np.allclose(L.whiten(ae, z), z)
+    assert np.allclose(L.unwhiten(ae, L.whiten(ae, z)), z, rtol=1e-12, atol=1e-12)
 
 
 def test_latent_sample_rejects_a_denoiser_of_other_latents():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diffupt import diffusion as D
 from diffupt import latentae as L
 from diffupt import pipeline as P
 from diffupt.classifier import TrainRegime
@@ -191,6 +192,25 @@ def test_bad_distribution_raises_before_any_training(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "distributions, total, match",
+    [
+        ([(50, 50)], -6, "^total must"),
+        ([(50, 50)], 6.0, "^total must"),
+        ([(50, 50)], True, "^total must"),
+        ([(50, 50), (-10, 110)], 6, r"\[0, 100\]"),
+        ([(110, -10)], 6, r"\[0, 100\]"),
+    ],
+    ids=["negative total", "float total", "bool total", "negative share", "share over 100"],
+)
+def test_bad_total_or_share_raises_before_any_training(distributions, total, match, monkeypatch):
+    # each would train the baseline and the stack and only then fail at a plan of negative or float counts
+    calls = _record_training(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        P.distribution_ablation(_tiny_splits(), distributions, total, RngStream(0), ctx=_tiny_context())
+    assert calls == []
+
+
 def test_context_cache_refuses_other_splits():
     ctx = _tiny_context()
     splits, rng = _tiny_splits(0), RngStream(0)
@@ -272,6 +292,29 @@ def test_sampling_peak_memory_does_not_grow_with_the_batch():
     assert peak_1000 - peak_250 <= 750 * SAMPLER_BYTES_PER_ROW
 
 
+def test_sample_class_reaches_sample_raw_and_decode_through_their_modules(monkeypatch):
+    # a tracer wraps these module attributes; a caller holding its own reference would skip their spans
+    calls = []
+    for module, name in ((D, "sample_raw"), (L, "decode")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    stack = P.GenerativeStack(
+        ae=L.Autoencoder(16, 1, 8, 4, RngStream(0)),
+        denoiser=UNetDenoiser((4, 4, 4), 8, RngStream(1), emb_dim=8),
+        sched=linear_schedule(20),
+    )
+    out = stack.sample_class(3, 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2), RngStream(2))
+    assert out.shape == (3, 1, 16, 16)
+    assert calls == ["sample_raw", "decode"]
+
+
+@pytest.mark.parametrize("counts", [(3,), (3, 4, 5), (1.5, 2), (3, -1), (True, 2), ("3", 4), 3])
+def test_plan_rejects_target_counts_that_are_not_a_pair_of_whole_numbers(counts):
+    # (3,) would fail only at generation, after the baseline and the stack had trained; (3, 4, 5) would drop the 5
+    with pytest.raises(ValueError, match="^target_counts must"):
+        P.GenerationPlan(target_counts=counts)
+
+
 @pytest.mark.parametrize("gen_batch", [0, -3])
 def test_plan_rejects_a_generation_batch_below_one(gen_batch):
     # a batch of 0 never adds to the attempts, so generation would never return
@@ -309,6 +352,8 @@ def test_generation_settings_accept_their_bounds():
     assert plan.attempt_budget(1) == plan.target_counts[1]
     P.GenerationPlan(method=SampleMethod(steps=P.TIMESTEPS))
     P.GenerationPlan(method=SampleMethod("ddpm", steps=P.TIMESTEPS + 1))  # DDPM ignores steps
+    P.GenerationPlan(target_counts=(0, 0))
+    P.GenerationPlan(target_counts=(np.int64(3), np.int32(0)))
 
 
 def test_attempt_budget_is_the_factor_times_the_target_rounded_up():
