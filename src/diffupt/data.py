@@ -47,6 +47,11 @@ class LabeledDataset:
         n = self.images.shape[0]
         if len(self.labels) != n or len(self.provenance) != n:
             raise ValueError("labels/provenance length must match images")
+        if self.subgroup is not None and len(self.subgroup) != n:
+            raise ValueError(f"subgroup has {len(self.subgroup)} entries for {n} images")
+        for key, values in (self.truth or {}).items():
+            if len(values) != n:
+                raise ValueError(f"truth[{key!r}] has {len(values)} entries for {n} images")
         # written so that NaN, which fails every comparison, fails it too
         if n and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise ValueError("image values must lie in [0,1]")

@@ -100,7 +100,7 @@ def row_blocks(n: int, block_rows: int) -> list[tuple[int, int]]:
 def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
     """``net(Tensor(x), *per_row).data`` without gradients, computed over the
     ``row_blocks`` of ``x`` and concatenated along the rows. A pass's buffers
-    (each conv's patch matrix or output-side product, each activation) grow
+    (each conv's patch matrix or upsampling tap product, each activation) grow
     with its rows, so blocking bounds a pass's memory by its block, whatever
     the row count.
 
@@ -125,8 +125,8 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     block peaks much above the 3.4 MB of the classifier's: the classifier's
     ``predict_proba`` and ``extract_features`` (27 KB a row) take 128 rows,
     3.4 MB a block; the latent UNet's ``DenoiserModel.predict`` (52 KB)
-    takes 64, 3.4 MB; the autoencoder's ``encode`` (40 KB) and ``decode``
-    (47 KB) take 64, 2.5 and 3.0 MB. A 250-row denoiser pass took 4-6%
+    takes 64, 3.4 MB; the autoencoder's ``encode`` (50 KB) and ``decode``
+    (47 KB) take 64, 3.2 and 3.0 MB. A 250-row denoiser pass took 4-6%
     longer in 128-row blocks than in one pass, and 8-19% longer in 64-row
     blocks (medians of 30 alternating repeats, two runs, one BLAS thread,
     2-vCPU x86-64); sampling spends that to peak at half the 128-row

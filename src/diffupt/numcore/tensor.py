@@ -33,13 +33,9 @@ layout, so nothing is transposed between layers. A model converts once at
 its boundary, with ``permute``, from the NCHW batches its callers pass and
 back to what they expect.
 
-Each conv also expands its narrower side, chosen from shapes alone. The
-patch matrix has Cin*K*K rows per output position; a conv with few output
-channels (an autoencoder's last decoder layer, a denoiser's head) would
-build it only to reduce it to one or a few channels. A stride-1 conv with
-``Cout*Hp*Wp < Cin*hout*wout`` therefore multiplies the padded input by all
-K*K kernel taps at once and sums K*K shifted slices of the product (the
-"kn2row" ordering), and never builds a patch matrix. The stride-1 input
+Every conv without upsampling, at stride 1 or 2, copies its input into a
+zero-padded buffer, builds the patch matrix of that buffer with ``_im2col``
+and multiplies it by the flattened kernel in one GEMM. The stride-1 input
 gradient is itself a stride-1 convolution of the output gradient with the
 flipped, channel-swapped kernel (the transposed-convolution identity), so it
 is one patch matrix of the Cout-channel gradient and one GEMM, with no
@@ -51,24 +47,22 @@ the conv of a nearest-neighbour 2x upsample, output phase (a, b), the
 pixels (2i+a, 2j+b), reads only a 2x2 window of the low-res map, so it is a
 2x2 conv of that map with the 3x3 kernel's taps summed per phase. That is
 16 multiply-adds per low-res pixel and channel pair where the conv of the
-upsampled map does 36, and the upsampled map is never built. It always
-takes the output side: the unpadded low-res map times all 16 phase-kernel
-taps (16*Cout product rows), then shifted slices of the product summed per
-phase. A patch side would build 16*Cin patch rows, wider whenever
-Cout < Cin, as for every upsampling conv of this pipeline (decoder and UNet
-up path).
+upsampled map does 36, and the upsampled map is never built. It multiplies
+the unpadded low-res map by all 16 phase-kernel taps (16*Cout product rows)
+and sums shifted slices of the product per phase, so it builds no patch
+matrix: one would have 16*Cin rows, more than 16*Cout for every upsampling
+conv of this pipeline (decoder and UNet up path).
 
 What a conv keeps for its backward pass depends on its kind. A stride-1
 conv keeps nothing but its input ``x``: its backward pads ``x.data`` again
-and rebuilds the patch matrix (patch side) or the padded input (output
-side) with the forward's own copies just before the weight-gradient GEMM
-(``_gemm_operand``), so the gradient is bitwise the one a kept operand
-gives. A stride-1 3x3 patch matrix is 9 times its input, and rebuilding it
-costs no measurable time, since the GEMM reads it while it is still in
-cache (the recompute trade of Chen et al. 2016). A stride-2 conv keeps its
-patch matrix, 2.25 times its input: rebuilding that too made a classifier
-step about 5% and an autoencoder step about 2% slower. An upsampling conv
-keeps only a view of ``x``.
+and rebuilds the patch matrix with the forward's own copies just before the
+weight-gradient GEMM (``_gemm_operand``), so the gradient is bitwise the one
+a kept patch matrix gives. A stride-1 3x3 patch matrix is 9 times its
+input, and rebuilding it costs no measurable time, since the GEMM reads it
+while it is still in cache (the recompute trade of Chen et al. 2016). A
+stride-2 conv keeps its patch matrix, 2.25 times its input: rebuilding that
+too made a classifier step about 5% and an autoencoder step about 2%
+slower. An upsampling conv keeps only a view of ``x``.
 
 A layer is one tape node. Each recorded op costs a finiteness scan, a
 ``Tensor``, a backward closure and a gradient copy, and at these sizes that
@@ -554,15 +548,12 @@ def _col2im(cols: np.ndarray, padded_shape, kh, kw, stride, hout, wout) -> np.nd
     return xg
 
 
-def _gemm_operand(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, hout: int, wout: int, output_side: bool) -> np.ndarray:
+def _gemm_operand(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
     """The right operand of a conv's forward GEMM, which its weight gradient
-    reuses: the zero-padded copy of (C, H, W, B) maps ``x``, as (C, Hp*Wp*B)
-    on the output side and as its patch matrix on the patch side."""
+    reuses: the patch matrix of the zero-padded copy of (C, H, W, B) maps ``x``."""
     C, H, W, B = x.shape
     xp = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=np.float64)
     xp[:, pad : pad + H, pad : pad + W] = x
-    if output_side:
-        return xp.reshape(C, -1)
     return _im2col(xp, kh, kw, stride, hout, wout)  # the padded copy is freed on return
 
 
@@ -588,22 +579,17 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution of (Cin,H,W,B) with kernels (Cout,Cin,KH,KW) to (Cout,hout,wout,B).
 
-    The work is done on whichever side of the conv is narrower (see the
-    module docstring). A stride-1 conv whose output side is smaller than its
-    patch matrix (``Cout*Hp*Wp < Cin*hout*wout``, Hp and Wp the padded input
-    extents) multiplies the padded input by every kernel tap first and adds
-    the KH*KW shifted (Cout, hout, wout, B) slices of that product; its
-    weight gradient multiplies KH*KW shifted copies of the output gradient
-    by the padded input. Every other conv builds the patch matrix. For its
-    backward pass a stride-1 conv keeps only ``x`` and rebuilds the padded
-    input or the patch matrix from ``x.data``, which must not change before
-    ``backward``; a stride-2 conv keeps its patch matrix. The input
-    gradient is computed only when ``x`` requires grad, which the first conv
-    of a network (fed images, latents or noisy latents) never does; at
-    stride 1 it is the convolution of the output gradient, padded by
-    ``K-1-pad`` (cropped where that is negative), with the flipped kernel
-    whose in and out channels are swapped, and at stride 2 a scatter-add of
-    patch columns.
+    The output is the flattened kernel times the patch matrix of the padded
+    input, one GEMM, and the weight gradient is the output gradient times
+    that patch matrix's transpose. For its backward pass a stride-1 conv
+    keeps only ``x`` and rebuilds the patch matrix from ``x.data``, which
+    must not change before ``backward``; a stride-2 conv keeps its patch
+    matrix. The input gradient is computed only when ``x`` requires grad,
+    which the first conv of a network (fed images, latents or noisy
+    latents) never does; at stride 1 it is the convolution of the output
+    gradient, padded by ``K-1-pad`` (cropped where that is negative), with
+    the flipped kernel whose in and out channels are swapped, and at stride
+    2 a scatter-add of patch columns.
 
     ``upsample=2`` (3x3 kernel, stride 1, pad 1 only) convolves the
     nearest-neighbour 2x upsample of ``x`` to (Cout, 2H, 2W, B) without
@@ -611,18 +597,17 @@ def conv2d(
     of ``x`` itself with the 3x3 kernel folded per phase (taps (w0, w1+w2)
     along an axis for phase 0, (w0+w1, w2) for phase 1), so weights enter
     summed, which rounds differently from the conv of the upsampled map. It
-    takes the output side: ``x`` times all 16 phase-kernel taps in one GEMM,
-    then per phase the sum of its four taps' shifted slices. The backward
-    pass copies each output-gradient phase to its four tap offsets once; the
-    phase-kernel gradient (unfolded onto the 3x3 kernel) and the input
-    gradient are then one GEMM each. Arguments outside these forms raise
-    ``ShapeError``: ``stride < 1``, ``pad < 0``, or an ``upsample`` other
-    than 1 or 2.
+    multiplies ``x`` by all 16 phase-kernel taps in one GEMM, then sums per
+    phase its four taps' shifted slices. The backward pass copies each
+    output-gradient phase to its four tap offsets once; the phase-kernel
+    gradient (unfolded onto the 3x3 kernel) and the input gradient are then
+    one GEMM each. Arguments outside these forms raise ``ShapeError``:
+    ``stride < 1``, ``pad < 0``, or an ``upsample`` other than 1 or 2.
 
     ``silu=True`` returns ``silu`` of the biased output from the same one
     node, bitwise equal to ``silu(conv2d(...))`` in value and in every
     gradient; only the activation is checked for finiteness (see the module
-    docstring). It works on every path above.
+    docstring). It works on both paths above.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
@@ -641,41 +626,21 @@ def conv2d(
     if upsample == 2:
         return _upsampled_conv(x, w, bias, silu)
 
-    Hp, Wp = H + 2 * pad, W + 2 * pad
-    output_side = stride == 1 and Cout * Hp * Wp < Cin * hout * wout
-    rhs = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout, output_side)
+    cols = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout)
     w2 = w.data.reshape(Cout, -1)
-    if output_side:
-        taps = w.data.transpose(2, 3, 0, 1).reshape(KH * KW * Cout, Cin)
-        y = (taps @ rhs).reshape(KH, KW, Cout, Hp, Wp, B)
-        out = np.zeros((Cout, hout, wout, B), dtype=np.float64)
-        for i in range(KH):
-            for j in range(KW):
-                out += y[i, j, :, i : i + hout, j : j + wout]
-        del y
-    else:
-        out = (w2 @ rhs).reshape(Cout, hout, wout, B)
+    out = (w2 @ cols).reshape(Cout, hout, wout, B)
     if bias is not None:
         out += bias.data[:, None, None, None]
-    # a stride-1 backward rebuilds rhs from x.data, which its tape node holds anyway
-    kept_rhs = rhs if stride > 1 else None
-    del rhs
+    # a stride-1 backward rebuilds cols from x.data, which its tape node holds anyway
+    kept_cols = cols if stride > 1 else None
+    del cols
 
     def back(g):
         # g is (Cout, hout, wout, B) and C-contiguous: backward stores each gradient as its own copy
-        rhs = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout, output_side) if kept_rhs is None else kept_rhs
-        if output_side:
-            shifted = np.zeros((KH, KW, Cout, Hp, Wp, B), dtype=np.float64)
-            for i in range(KH):
-                for j in range(KW):
-                    shifted[i, j, :, i : i + hout, j : j + wout] = g
-            gw = shifted.reshape(KH * KW * Cout, -1) @ rhs.T
-            del shifted
-            gw = gw.reshape(KH, KW, Cout, Cin).transpose(2, 3, 0, 1)
-        else:
-            gf = g.reshape(Cout, hout * wout * B)
-            gw = (gf @ rhs.T).reshape(w.shape)
-        del rhs  # a rebuilt operand is freed before the input gradient's buffers
+        cols = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout) if kept_cols is None else kept_cols
+        gf = g.reshape(Cout, hout * wout * B)
+        gw = (gf @ cols.T).reshape(w.shape)
+        del cols  # a rebuilt patch matrix is freed before the input gradient's buffers
         gx = None
         if x.requires_grad and stride == 1:
             # g padded by K-1-pad on each side, or cropped by pad-(K-1) where that is positive
@@ -687,7 +652,7 @@ def conv2d(
             flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, -1)
             gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B)
         elif x.requires_grad:
-            gx = _col2im(w2.T @ gf, (Cin, Hp, Wp, B), KH, KW, stride, hout, wout)[:, pad : pad + H, pad : pad + W]
+            gx = _col2im(w2.T @ gf, (Cin, H + 2 * pad, W + 2 * pad, B), KH, KW, stride, hout, wout)[:, pad : pad + H, pad : pad + W]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(1, 2, 3))

@@ -546,13 +546,15 @@ TrainSet = Callable[[Splits, ExperimentContext, RngStream], Callable[[], Labeled
 
 def _smote_minority(splits: Splits, ctx: ExperimentContext, rng: RngStream) -> Callable[[], LabeledDataset]:
     """The real set plus SMOTE minority samples up to the majority count."""
+    n_neg, n_pos = splits.train.class_counts
+    if n_pos < 2:
+        raise ValueError(f"smote_augment needs at least 2 minority training images, got {n_pos}")
 
     def build() -> LabeledDataset:
         train = splits.train
-        n_neg, n_pos = train.class_counts
         minority = train.images[train.labels == 1]
         n_new = max(0, n_neg - n_pos)
-        new = smote_oversample(minority, k=min(5, len(minority) - 1), n_new=n_new, rng=rng.split("smote"))
+        new = smote_oversample(minority, k=min(5, n_pos - 1), n_new=n_new, rng=rng.split("smote"))
         return concat_datasets([train, class_dataset([new[:0], new], SYNTHETIC)])
 
     return build

@@ -431,3 +431,28 @@ def test_dataset_rejects_image_values_outside_the_unit_interval(bad):
 def test_dataset_rejects_labels_outside_zero_and_one(labels):
     with pytest.raises(ValueError, match="labels"):
         LabeledDataset(images=_pixels(0.2, 0.3), labels=labels, provenance=[0, 0])
+
+
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        pytest.param("subgroup", {"subgroup": [0, 1, 0, 1, 0]}, id="subgroup-long"),
+        pytest.param("subgroup", {"subgroup": [0, 1]}, id="subgroup-short"),
+        pytest.param("truth", {"truth": {"cup_ratio": np.zeros(5)}}, id="truth-long"),
+        pytest.param("truth", {"truth": {"cup_ratio": np.zeros(3), "cx": np.zeros(2)}}, id="truth-short"),
+    ],
+)
+def test_dataset_rejects_per_image_fields_of_another_length(field, kwargs):
+    # a mismatch would make subset() hand back the wrong entries without error
+    with pytest.raises(ValueError, match=field):
+        LabeledDataset(images=_pixels(0.1, 0.2, 0.3), labels=[0, 1, 0], provenance=[0, 0, 0], **kwargs)
+
+
+def test_dataset_subset_keeps_per_image_fields_aligned():
+    ds = LabeledDataset(
+        images=_pixels(0.1, 0.2, 0.3), labels=[0, 1, 0], provenance=[0, 0, 0],
+        subgroup=np.array([5, 6, 7]), truth={"cx": np.array([0.5, 0.6, 0.7])},
+    )
+    part = ds.subset([2, 0])
+    assert part.subgroup.tolist() == [7, 5]
+    assert part.truth["cx"].tolist() == [0.7, 0.5]

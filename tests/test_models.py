@@ -2,14 +2,18 @@
 report, decoupled head retraining, training-config checks, the packed
 parameter buffer and fused Adam, non-finite weights."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffupt import classifier as C
 from diffupt import diffusion as D
 from diffupt import latentae as L
+from diffupt import pipeline as P
 from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_stage_retrain, train_classifier
 from diffupt.data import SynthFundusConfig, generate_synth_fundus
 from diffupt.diffusion import DiffusionTrainConfig, UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
@@ -191,6 +195,48 @@ def test_a_rows_noise_prediction_does_not_depend_on_how_many_rows_share_its_pass
         odd = model.predict(x[:n], t[:n], y[:n])
         for even in (n + 1, n + 3):
             assert np.array_equal(odd, model.predict(x[:even], t[:even], y[:even])[:n]), (n, even)
+
+
+LARGER_PASS_ROWS = 258
+
+
+@functools.cache
+def _pipeline_sized_pass(path):
+    """(n -> the blocked call on the first n rows, one pass over all
+    ``LARGER_PASS_ROWS`` rows) of a randomized model at the pipeline's sizes."""
+    ae = _randomized(Autoencoder(16, 1, P.AE_BASE_CHANNELS, P.LATENT_CHANNELS, RngStream(3)))
+    rng = RngStream(60)
+    latents = rng.normal((LARGER_PASS_ROWS, *ae.latent_shape))
+    images = rng.uniform((LARGER_PASS_ROWS, 1, 16, 16))
+    if path == "denoiser.predict":
+        unet = _randomized(UNetDenoiser(ae.latent_shape, P.UNET_BASE_CHANNELS, RngStream(3), emb_dim=P.UNET_EMB_DIM))
+        t, y = rng.integers((LARGER_PASS_ROWS,), 1, P.TIMESTEPS), rng.integers((LARGER_PASS_ROWS,), 0, 3)
+        return lambda n: unet.predict(latents[:n], t[:n], y[:n]), _one_pass(unet, latents, t, y)
+    if path == "encode":
+        return lambda n: encode(ae, images[:n]), _one_pass(ae.encode_t, images)
+    if path == "decode":
+        return lambda n: decode(ae, latents[:n]), _one_pass(ae.decode_t, latents)
+    model = _randomized(ClassifierModel((1, 16, 16), RngStream(3)))
+    return lambda n: model.extract_features(images[:n]), _one_pass(model.features_t, images)
+
+
+# predict_proba is left out: its one-column head product rounds some rows
+# differently at some row counts (CHANGES.md, ROADMAP item 2)
+@pytest.mark.parametrize("path", ["denoiser.predict", "encode", "decode", "extract_features"])
+@given(n=st.integers(1, LARGER_PASS_ROWS - 1))
+@example(n=1)
+@example(n=63)
+@example(n=65)
+@example(n=129)
+@example(n=LARGER_PASS_ROWS - 1)
+@settings(max_examples=20, deadline=None)
+def test_each_row_at_the_real_block_sizes_equals_that_row_of_one_larger_pass(path, n):
+    # the passes run at their real row constants (64 or 128), so an n-row call
+    # cuts its blocks elsewhere than the one larger pass does
+    blocked, larger = _pipeline_sized_pass(path)
+    out = blocked(n)
+    assert out.shape[0] == n
+    assert np.array_equal(out, larger[:n])
 
 
 @pytest.mark.parametrize("block_rows", [0, 3, 12])

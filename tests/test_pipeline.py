@@ -211,6 +211,20 @@ def test_bad_total_or_share_raises_before_any_training(distributions, total, mat
     assert calls == []
 
 
+@pytest.mark.parametrize("minority", [0, 1])
+def test_smote_augment_with_too_few_minority_images_raises_before_any_training(minority, monkeypatch):
+    # SMOTE needs a neighbour for each minority image, so at least two of them
+    calls = _record_training(monkeypatch)
+    splits = _tiny_splits()
+    labels = splits.train.labels
+    keep = [*np.flatnonzero(labels == 0), *np.flatnonzero(labels == 1)[:minority]]
+    splits = replace(splits, train=splits.train.subset(keep))
+    assert splits.train.class_counts[1] == minority
+    with pytest.raises(ValueError, match=rf"^smote_augment needs at least 2 minority training images, got {minority}$"):
+        P.run_comparison(splits, ["normal", "smote_augment"], RngStream(0), ctx=_tiny_context())
+    assert calls == []
+
+
 def test_context_cache_refuses_other_splits():
     ctx = _tiny_context()
     splits, rng = _tiny_splits(0), RngStream(0)
