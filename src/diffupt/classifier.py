@@ -56,9 +56,9 @@ class ClassifierModel(Module):
         c_in = self.input_shape[0]
         self.convs = nc.ModuleList()
         for i, c_out in enumerate(self.conv_channels):
-            self.convs.append(Conv2d(c_in, c_out, 3, r.split(f"c{i}"), stride=2, pad=1, silu=True))
+            self.convs.append(Conv2d(c_in, c_out, r.split(f"c{i}"), stride=2, silu=True))
             c_in = c_out
-        self.mix = Conv2d(c_in, self.feature_dim, 3, r.split("mix"), pad=1, silu=True)
+        self.mix = Conv2d(c_in, self.feature_dim, r.split("mix"), silu=True)
         self.head = Linear(self.feature_dim, 1, rng.split("head"))
         self.pack_parameters()
 

@@ -27,12 +27,13 @@ class MissingClassError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Images (N,C,H,W) in [0,1] with binary labels and provenance flags."""
+    """Images (N,C,H,W) in [0,1] with binary labels and provenance flags, and
+    for generated surrogate images the ground-truth generative parameters
+    (``truth``, one array of N values per parameter name)."""
 
     images: np.ndarray
     labels: np.ndarray
     provenance: np.ndarray
-    subgroup: np.ndarray | None = None
     truth: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -47,8 +48,6 @@ class LabeledDataset:
         n = self.images.shape[0]
         if len(self.labels) != n or len(self.provenance) != n:
             raise ValueError("labels/provenance length must match images")
-        if self.subgroup is not None and len(self.subgroup) != n:
-            raise ValueError(f"subgroup has {len(self.subgroup)} entries for {n} images")
         for key, values in (self.truth or {}).items():
             if len(values) != n:
                 raise ValueError(f"truth[{key!r}] has {len(values)} entries for {n} images")
@@ -75,20 +74,22 @@ class LabeledDataset:
             images=self.images[idx],
             labels=self.labels[idx],
             provenance=self.provenance[idx],
-            subgroup=None if self.subgroup is None else self.subgroup[idx],
             truth=None if self.truth is None else {k: v[idx] for k, v in self.truth.items()},
         )
 
 
 def concat_datasets(parts: list[LabeledDataset]) -> LabeledDataset:
-    """Rows of every part in order; parts that are all empty keep their image shape."""
+    """Rows of every part in order; parts that are all empty keep their image
+    shape. ``truth`` is joined in row order when every part with rows carries
+    it with the same keys, and is ``None`` otherwise."""
     parts = [p for p in parts if len(p)] or parts[:1]
-    keep_sub = all(p.subgroup is not None for p in parts)
+    key_sets = {None if p.truth is None else frozenset(p.truth) for p in parts}
+    keep_truth = len(key_sets) == 1 and None not in key_sets
     return LabeledDataset(
         images=np.concatenate([p.images for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
         provenance=np.concatenate([p.provenance for p in parts]),
-        subgroup=np.concatenate([p.subgroup for p in parts]) if keep_sub else None,
+        truth={k: np.concatenate([p.truth[k] for p in parts]) for k in parts[0].truth} if keep_truth else None,
     )
 
 
@@ -107,7 +108,6 @@ def empty_dataset(c: int, h: int, w: int) -> LabeledDataset:
         images=np.zeros((0, c, h, w)),
         labels=np.zeros(0, dtype=np.int8),
         provenance=np.zeros(0, dtype=np.int8),
-        subgroup=np.zeros(0, dtype=np.int8),
     )
 
 
@@ -218,7 +218,6 @@ def generate_synth_fundus(cfg: SynthFundusConfig, n_negative: int, n_positive: i
         images=images,
         labels=labels,
         provenance=np.full(n, REAL, dtype=np.int8),
-        subgroup=(dx >= 0).astype(np.int8),  # left/right eye analog
         truth={"cup_ratio": ratios, "disc_radius": r_disc, "cx": cx, "cy": cy},
     )
 

@@ -185,9 +185,9 @@ class _CondBlock(Module):
 
     def __init__(self, cin: int, cout: int, emb_dim: int, rng: RngStream):
         super().__init__()
-        self.conv1 = Conv2d(cin, cout, 3, rng.split("c1"), pad=1, silu=True)
+        self.conv1 = Conv2d(cin, cout, rng.split("c1"), silu=True)
         self.proj = Linear(emb_dim, cout, rng.split("p"))
-        self.conv2 = Conv2d(cout, cout, 3, rng.split("c2"), pad=1, silu=True)
+        self.conv2 = Conv2d(cout, cout, rng.split("c2"), silu=True)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         h = add_channel_bias(self.conv1(x), self.proj(cond))
@@ -221,22 +221,22 @@ class UNetDenoiser(DenoiserModel):
         self.class_embed = Embedding(3, emb_dim, rng.split("class"))
 
         widths = [base_channels * (2**i) for i in range(depth + 1)]
-        self.stem = Conv2d(c, widths[0], 3, rng.split("stem"), pad=1, silu=True)
+        self.stem = Conv2d(c, widths[0], rng.split("stem"), silu=True)
         self.down_blocks = ModuleList(
             _CondBlock(widths[i], widths[i], emb_dim, rng.split(f"down{i}")) for i in range(depth)
         )
         self.down_samplers = ModuleList(
-            Conv2d(widths[i], widths[i + 1], 3, rng.split(f"ds{i}"), stride=2, pad=1, silu=True) for i in range(depth)
+            Conv2d(widths[i], widths[i + 1], rng.split(f"ds{i}"), stride=2, silu=True) for i in range(depth)
         )
         self.mid = _CondBlock(widths[depth], widths[depth], emb_dim, rng.split("mid"))
         self.up_convs = ModuleList(
-            Conv2d(widths[i + 1], widths[i], 3, rng.split(f"up{i}"), pad=1, upsample=2, silu=True)
+            Conv2d(widths[i + 1], widths[i], rng.split(f"up{i}"), upsample=2, silu=True)
             for i in reversed(range(depth))
         )
         self.up_blocks = ModuleList(
             _CondBlock(2 * widths[i], widths[i], emb_dim, rng.split(f"ub{i}")) for i in reversed(range(depth))
         )
-        self.head = Conv2d(widths[0], c, 3, rng.split("head"), pad=1)
+        self.head = Conv2d(widths[0], c, rng.split("head"))
         self.pack_parameters()
 
     def __call__(self, x: Tensor, t, y) -> Tensor:

@@ -45,12 +45,12 @@ class Autoencoder(Module):
         bc = base_channels
         self.image_shape = (in_channels, image_size, image_size)
         self.latent_shape = (latent_channels, image_size // 4, image_size // 4)
-        self.enc1 = Conv2d(in_channels, bc, 3, rng.split("e1"), stride=2, pad=1, silu=True)
-        self.enc2 = Conv2d(bc, 2 * bc, 3, rng.split("e2"), stride=2, pad=1, silu=True)
-        self.enc3 = Conv2d(2 * bc, latent_channels, 3, rng.split("e3"), pad=1)
-        self.dec1 = Conv2d(latent_channels, 2 * bc, 3, rng.split("d1"), pad=1, silu=True)
-        self.dec2 = Conv2d(2 * bc, bc, 3, rng.split("d2"), pad=1, upsample=2, silu=True)
-        self.out = Conv2d(bc, in_channels, 3, rng.split("out"), pad=1, upsample=2)
+        self.enc1 = Conv2d(in_channels, bc, rng.split("e1"), stride=2, silu=True)
+        self.enc2 = Conv2d(bc, 2 * bc, rng.split("e2"), stride=2, silu=True)
+        self.enc3 = Conv2d(2 * bc, latent_channels, rng.split("e3"))
+        self.dec1 = Conv2d(latent_channels, 2 * bc, rng.split("d1"), silu=True)
+        self.dec2 = Conv2d(2 * bc, bc, rng.split("d2"), upsample=2, silu=True)
+        self.out = Conv2d(bc, in_channels, rng.split("out"), upsample=2)
         self.register_buffer("latent_shift", np.zeros(latent_channels))
         self.register_buffer("latent_scale", np.ones(latent_channels))
         self.pack_parameters()

@@ -10,7 +10,7 @@ single-class AUC) return NaN rather than a silent zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class ConfusionCounts:
     fp: int
     tn: int
     fn: int
-    subgroup: str | None = None
 
     def __post_init__(self):
         for name in ("tp", "fp", "tn", "fn"):
@@ -41,16 +40,16 @@ class ConfusionCounts:
 
 @dataclass
 class EvalReport:
-    """One evaluation: headline percentages plus confusion detail."""
+    """One evaluation: headline percentages and the confusion counts they come from."""
 
     sensitivity: float
     specificity: float
     harmonic_mean: float
     auc: float
-    confusion: list[ConfusionCounts] = field(default_factory=list)
+    confusion: ConfusionCounts
 
 
-def confusion(probs, labels, threshold: float = 0.5, subgroup: str | None = None) -> ConfusionCounts:
+def confusion(probs, labels, threshold: float = 0.5) -> ConfusionCounts:
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.shape != labels.shape:
@@ -62,7 +61,6 @@ def confusion(probs, labels, threshold: float = 0.5, subgroup: str | None = None
         fp=int(np.sum(pred & ~pos)),
         tn=int(np.sum(~pred & ~pos)),
         fn=int(np.sum(~pred & pos)),
-        subgroup=subgroup,
     )
 
 
@@ -104,23 +102,19 @@ def auc(probs, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def evaluate_probs(probs, labels, threshold: float = 0.5, subgroups=None) -> EvalReport:
-    """Bundle confusion-derived percentages and AUC into a report."""
+def evaluate_probs(probs, labels, threshold: float = 0.5) -> EvalReport:
+    """The report of probabilities ``probs`` against 0/1 ``labels``: the
+    confusion counts at ``threshold``, the sensitivity, specificity and
+    harmonic mean derived from them, and the AUC."""
     c = confusion(probs, labels, threshold)
     sens = sensitivity(c)
     spec = specificity(c)
-    confusions = [c]
-    if subgroups is not None:
-        subgroups = np.asarray(subgroups)
-        for key in np.unique(subgroups):
-            mask = subgroups == key
-            confusions.append(confusion(np.asarray(probs)[mask], np.asarray(labels)[mask], threshold, subgroup=str(key)))
     return EvalReport(
         sensitivity=sens,
         specificity=spec,
         harmonic_mean=harmonic_mean(sens, spec),
         auc=auc(probs, labels),
-        confusion=confusions,
+        confusion=c,
     )
 
 

@@ -168,55 +168,41 @@ class ModuleList(Module):
 class Linear(Module):
     """Dense layer x @ w + b with He-scaled init, one ``T.linear`` node a call."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: RngStream, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: RngStream):
         super().__init__()
         self.w = Parameter(np.zeros((in_dim, out_dim)))
-        self.b = Parameter(np.zeros(out_dim)) if bias else None
+        self.b = Parameter(np.zeros(out_dim))
         self.reset(rng)
 
     def reset(self, rng: RngStream) -> None:
         """He-scaled weights drawn from ``rng``, zero bias, fresh optimizer state."""
         self.w.reset(rng.normal(self.w.shape, sd=math.sqrt(2.0 / self.w.shape[0])))
-        if self.b is not None:
-            self.b.reset(0.0)
+        self.b.reset(0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w.tensor, None if self.b is None else self.b.tensor)
+        return T.linear(x, self.w.tensor, self.b.tensor)
 
 
 class Conv2d(Module):
-    """k x k convolution layer on (C, H, W, B) feature maps, with stride, pad,
-    upsample and silu fixed at construction (``T.conv2d`` documents them).
-    ``upsample=2`` makes it a 3x3, pad-1 conv of the nearest-2x upsample of
-    its input, computed on the input itself; ``silu=True`` applies SiLU to
-    its biased output within the same tape node. Arguments ``conv2d`` would
-    reject raise ``ShapeError`` here already."""
+    """3x3 convolution layer with zero padding 1 and a bias on (C, H, W, B)
+    feature maps, with stride, upsample and silu fixed at construction
+    (``T.conv2d`` documents them). ``upsample=2`` makes it the conv of the
+    nearest-2x upsample of its input, computed on the input itself;
+    ``silu=True`` applies SiLU to its biased output within the same tape
+    node. Arguments ``conv2d`` would reject raise ``ShapeError`` here
+    already."""
 
-    def __init__(
-        self,
-        cin: int,
-        cout: int,
-        k: int,
-        rng: RngStream,
-        stride: int = 1,
-        pad: int = 0,
-        bias: bool = True,
-        upsample: int = 1,
-        silu: bool = False,
-    ):
+    def __init__(self, cin: int, cout: int, rng: RngStream, stride: int = 1, upsample: int = 1, silu: bool = False):
         super().__init__()
-        T.check_conv_args(k, k, stride, pad, upsample)
-        std = math.sqrt(2.0 / (cin * k * k))
-        self.w = Parameter(rng.normal((cout, cin, k, k), sd=std))
-        self.b = Parameter(np.zeros(cout)) if bias else None
+        T.check_conv_args(stride, upsample)
+        self.w = Parameter(rng.normal((cout, cin, 3, 3), sd=math.sqrt(2.0 / (cin * 9))))
+        self.b = Parameter(np.zeros(cout))
         self.stride = stride
-        self.pad = pad
         self.upsample = upsample
         self.silu = silu
 
     def __call__(self, x: Tensor) -> Tensor:
-        bias = None if self.b is None else self.b.tensor
-        return T.conv2d(x, self.w.tensor, bias, stride=self.stride, pad=self.pad, upsample=self.upsample, silu=self.silu)
+        return T.conv2d(x, self.w.tensor, self.b.tensor, stride=self.stride, upsample=self.upsample, silu=self.silu)
 
 
 class Embedding(Module):

@@ -33,13 +33,15 @@ layout, so nothing is transposed between layers. A model converts once at
 its boundary, with ``permute``, from the NCHW batches its callers pass and
 back to what they expect.
 
-Every conv without upsampling, at stride 1 or 2, copies its input into a
-zero-padded buffer, builds the patch matrix of that buffer with ``_im2col``
-and multiplies it by the flattened kernel in one GEMM. The stride-1 input
-gradient is itself a stride-1 convolution of the output gradient with the
-flipped, channel-swapped kernel (the transposed-convolution identity), so it
-is one patch matrix of the Cout-channel gradient and one GEMM, with no
-scatter-add; stride 2 keeps the scatter-add of patch columns.
+Every conv is 3x3 with zero padding 1 and a bias, the one form that the
+classifier, the autoencoder and the UNet use. Without upsampling, at stride
+1 or 2, it copies its input into a zero-padded buffer, builds the patch
+matrix of that buffer (``_gemm_operand``) and multiplies it by the flattened
+kernel in one GEMM. The stride-1 input gradient is itself such a conv: that
+of the output gradient with the flipped, channel-swapped kernel (the
+transposed-convolution identity). So ``_gemm_operand`` builds its patch
+matrix too, from the Cout-channel gradient, and one GEMM finishes it, with
+no scatter-add; stride 2 keeps the scatter-add of patch columns.
 
 A decoder's 2x upsampling is folded into the 3x3 conv that follows it
 (``conv2d(..., upsample=2)``), the sub-pixel identity (Shi et al. 2016): in
@@ -54,10 +56,10 @@ matrix: one would have 16*Cin rows, more than 16*Cout for every upsampling
 conv of this pipeline (decoder and UNet up path).
 
 What a conv keeps for its backward pass depends on its kind. A stride-1
-conv keeps nothing but its input ``x``: its backward pads ``x.data`` again
-and rebuilds the patch matrix with the forward's own copies just before the
-weight-gradient GEMM (``_gemm_operand``), so the gradient is bitwise the one
-a kept patch matrix gives. A stride-1 3x3 patch matrix is 9 times its
+conv keeps nothing but its input ``x``: just before the weight-gradient
+GEMM its backward rebuilds the patch matrix from ``x.data`` with the
+forward's ``_gemm_operand``, so the gradient is bitwise the one a kept
+patch matrix gives. A stride-1 3x3 patch matrix is 9 times its
 input, and rebuilding it costs no measurable time, since the GEMM reads it
 while it is still in cache (the recompute trade of Chen et al. 2016). A
 stride-2 conv keeps its patch matrix, 2.25 times its input: rebuilding that
@@ -304,23 +306,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(value, "matmul", (a, b), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer ``x @ w + b`` of (B, K) rows, (K, N) weights and an (N,)
     bias, as one node: the values and gradients of ``matmul`` then ``+``."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear expects (B,K)@(K,N), got {x.shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
+    if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias must be ({w.shape[1]},), got {b.shape}")
     value = x.data @ w.data
-    if b is not None:
-        value += b.data
+    value += b.data
 
     def back(g):
         gx = g @ w.data.T if x.requires_grad else None
-        gw = x.data.T @ g
-        return (gx, gw) if b is None else (gx, gw, g.sum(axis=0))
+        return gx, x.data.T @ g, g.sum(axis=0)
 
-    return _make(value, "linear", (x, w) if b is None else (x, w, b), back)
+    return _make(value, "linear", (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -522,62 +522,52 @@ def _conv_node(out: np.ndarray, inputs: tuple, back, silu: bool) -> Tensor:
     return _make(out * s, "conv2d+silu", inputs, fused_back)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    """Patch matrix (C*kh*kw, hout*wout*B) of a padded (C, Hp, Wp, B) input.
+def _gemm_operand(x: np.ndarray, stride: int) -> np.ndarray:
+    """Patch matrix (C*9, hout*wout*B) of the 3x3 windows, at ``stride``, of
+    (C, H, W, B) maps ``x`` zero-padded by 1: the right operand of a conv's
+    forward GEMM, which its weight gradient reuses.
 
     Row order matches ``w.reshape(Cout, -1)``; columns run over output
     position, batch innermost. It is filled by one slice copy per kernel tap,
     and every contiguous run of such a copy is B values long.
     """
-    C, _, _, B = xp.shape
-    cols = np.empty((C, kh, kw, hout, wout, B), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride]
-    return cols.reshape(C * kh * kw, hout * wout * B)
-
-
-def _col2im(cols: np.ndarray, padded_shape, kh, kw, stride, hout, wout) -> np.ndarray:
-    """Adjoint of ``_im2col``: scatter-add patch columns into a (C, Hp, Wp, B) buffer."""
-    C, Hp, Wp, B = padded_shape
-    xg = np.zeros((C, Hp, Wp, B), dtype=np.float64)
-    cols = cols.reshape(C, kh, kw, hout, wout, B)
-    for i in range(kh):
-        for j in range(kw):
-            xg[:, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, i, j]
-    return xg
-
-
-def _gemm_operand(x: np.ndarray, pad: int, kh: int, kw: int, stride: int, hout: int, wout: int) -> np.ndarray:
-    """The right operand of a conv's forward GEMM, which its weight gradient
-    reuses: the patch matrix of the zero-padded copy of (C, H, W, B) maps ``x``."""
     C, H, W, B = x.shape
-    xp = np.zeros((C, H + 2 * pad, W + 2 * pad, B), dtype=np.float64)
-    xp[:, pad : pad + H, pad : pad + W] = x
-    return _im2col(xp, kh, kw, stride, hout, wout)  # the padded copy is freed on return
+    hout, wout = (H - 1) // stride + 1, (W - 1) // stride + 1
+    xp = np.zeros((C, H + 2, W + 2, B), dtype=np.float64)
+    xp[:, 1 : H + 1, 1 : W + 1] = x
+    cols = np.empty((C, 3, 3, hout, wout, B), dtype=np.float64)
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, i : i + stride * hout : stride, j : j + stride * wout : stride]
+    return cols.reshape(C * 9, hout * wout * B)  # the padded copy is freed on return
 
 
-def check_conv_args(kh: int, kw: int, stride: int, pad: int, upsample: int) -> None:
-    """Raise ``ShapeError`` unless ``stride >= 1``, ``pad >= 0`` and ``upsample``
-    is 1, or 2 with a 3x3 kernel, stride 1 and pad 1."""
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"conv2d needs stride >= 1 and pad >= 0, got stride {stride}, pad {pad}")
+def _col2im(cols: np.ndarray, shape, stride: int, hout: int, wout: int) -> np.ndarray:
+    """Adjoint of ``_gemm_operand``: scatter-add patch columns into a zero-padded
+    buffer and return its (C, H, W, B) interior."""
+    C, H, W, B = shape
+    xg = np.zeros((C, H + 2, W + 2, B), dtype=np.float64)
+    cols = cols.reshape(C, 3, 3, hout, wout, B)
+    for i in range(3):
+        for j in range(3):
+            xg[:, i : i + stride * hout : stride, j : j + stride * wout : stride] += cols[:, i, j]
+    return xg[:, 1 : H + 1, 1 : W + 1]
+
+
+def check_conv_args(stride: int, upsample: int) -> None:
+    """Raise ``ShapeError`` unless ``stride >= 1`` and ``upsample`` is 1, or 2 at stride 1."""
+    if stride < 1:
+        raise ShapeError(f"conv2d needs stride >= 1, got {stride}")
     if upsample not in (1, 2):
         raise ShapeError(f"conv2d upsample must be 1 or 2, got {upsample}")
-    if upsample == 2 and (kh, kw, stride, pad) != (3, 3, 1, 1):
-        raise ShapeError(f"conv2d upsample=2 needs a 3x3 kernel, stride 1 and pad 1, got {kh}x{kw}, stride {stride}, pad {pad}")
+    if upsample == 2 and stride != 1:
+        raise ShapeError(f"conv2d upsample=2 needs stride 1, got {stride}")
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    pad: int = 0,
-    upsample: int = 1,
-    silu: bool = False,
-) -> Tensor:
-    """2-D convolution of (Cin,H,W,B) with kernels (Cout,Cin,KH,KW) to (Cout,hout,wout,B).
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, upsample: int = 1, silu: bool = False) -> Tensor:
+    """3x3 convolution with zero padding 1 and a bias, of (Cin, H, W, B) maps
+    with kernels (Cout, Cin, 3, 3) and a (Cout,) bias, to (Cout, hout, wout, B)
+    maps, hout = (H - 1) // stride + 1 (H at stride 1).
 
     The output is the flattened kernel times the patch matrix of the padded
     input, one GEMM, and the weight gradient is the output gradient times
@@ -586,78 +576,64 @@ def conv2d(
     must not change before ``backward``; a stride-2 conv keeps its patch
     matrix. The input gradient is computed only when ``x`` requires grad,
     which the first conv of a network (fed images, latents or noisy
-    latents) never does; at stride 1 it is the convolution of the output
-    gradient, padded by ``K-1-pad`` (cropped where that is negative), with
-    the flipped kernel whose in and out channels are swapped, and at stride
-    2 a scatter-add of patch columns.
+    latents) never does; at stride 1 it is the conv of the output gradient
+    with the flipped kernel whose in and out channels are swapped (its patch
+    matrix is built like the input's), and at stride 2 a scatter-add of patch
+    columns.
 
-    ``upsample=2`` (3x3 kernel, stride 1, pad 1 only) convolves the
-    nearest-neighbour 2x upsample of ``x`` to (Cout, 2H, 2W, B) without
-    building it: output phase (a, b), the pixels (2i+a, 2j+b), is a 2x2 conv
-    of ``x`` itself with the 3x3 kernel folded per phase (taps (w0, w1+w2)
-    along an axis for phase 0, (w0+w1, w2) for phase 1), so weights enter
-    summed, which rounds differently from the conv of the upsampled map. It
-    multiplies ``x`` by all 16 phase-kernel taps in one GEMM, then sums per
-    phase its four taps' shifted slices. The backward pass copies each
-    output-gradient phase to its four tap offsets once; the phase-kernel
-    gradient (unfolded onto the 3x3 kernel) and the input gradient are then
-    one GEMM each. Arguments outside these forms raise ``ShapeError``:
-    ``stride < 1``, ``pad < 0``, or an ``upsample`` other than 1 or 2.
+    ``upsample=2`` (stride 1 only) convolves the nearest-neighbour 2x
+    upsample of ``x`` to (Cout, 2H, 2W, B) without building it: output phase
+    (a, b), the pixels (2i+a, 2j+b), is a 2x2 conv of ``x`` itself with the
+    3x3 kernel folded per phase (taps (w0, w1+w2) along an axis for phase 0,
+    (w0+w1, w2) for phase 1), so weights enter summed, which rounds
+    differently from the conv of the upsampled map. It multiplies ``x`` by
+    all 16 phase-kernel taps in one GEMM, then sums per phase its four taps'
+    shifted slices. The backward pass copies each output-gradient phase to
+    its four tap offsets once; the phase-kernel gradient (unfolded onto the
+    3x3 kernel) and the input gradient are then one GEMM each. Arguments
+    outside these forms raise ``ShapeError``: a kernel or bias of another
+    shape, ``stride < 1``, or an ``upsample`` other than 1 or 2.
 
     ``silu=True`` returns ``silu`` of the biased output from the same one
     node, bitwise equal to ``silu(conv2d(...))`` in value and in every
     gradient; only the activation is checked for finiteness (see the module
     docstring). It works on both paths above.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-D input and kernel, got {x.shape} and {w.shape}")
+    if x.ndim != 4 or w.ndim != 4 or w.shape[1:] != (x.shape[0], 3, 3):
+        raise ShapeError(f"conv2d expects (C,H,W,B) input and a (Cout,C,3,3) kernel, got {x.shape} and {w.shape}")
+    check_conv_args(stride, upsample)
     Cin, H, W, B = x.shape
-    Cout, Cin_w, KH, KW = w.shape
-    check_conv_args(KH, KW, stride, pad, upsample)
-    if Cin != Cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input (C,H,W,B) {x.shape} vs kernel {w.shape}")
-    if bias is not None and bias.shape != (Cout,):
+    Cout = w.shape[0]
+    if bias.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {bias.shape}")
-    hout = (upsample * H + 2 * pad - KH) // stride + 1
-    wout = (upsample * W + 2 * pad - KW) // stride + 1
-    if hout < 1 or wout < 1:
-        raise ShapeError(f"conv2d output would be empty for input {x.shape}, kernel {w.shape}, stride {stride}, pad {pad}")
 
     if upsample == 2:
         return _upsampled_conv(x, w, bias, silu)
 
-    cols = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout)
+    hout, wout = (H - 1) // stride + 1, (W - 1) // stride + 1
+    cols = _gemm_operand(x.data, stride)
     w2 = w.data.reshape(Cout, -1)
     out = (w2 @ cols).reshape(Cout, hout, wout, B)
-    if bias is not None:
-        out += bias.data[:, None, None, None]
+    out += bias.data[:, None, None, None]
     # a stride-1 backward rebuilds cols from x.data, which its tape node holds anyway
     kept_cols = cols if stride > 1 else None
     del cols
 
     def back(g):
         # g is (Cout, hout, wout, B) and C-contiguous: backward stores each gradient as its own copy
-        cols = _gemm_operand(x.data, pad, KH, KW, stride, hout, wout) if kept_cols is None else kept_cols
+        cols = _gemm_operand(x.data, stride) if kept_cols is None else kept_cols
         gf = g.reshape(Cout, hout * wout * B)
         gw = (gf @ cols.T).reshape(w.shape)
         del cols  # a rebuilt patch matrix is freed before the input gradient's buffers
         gx = None
         if x.requires_grad and stride == 1:
-            # g padded by K-1-pad on each side, or cropped by pad-(K-1) where that is positive
-            ch, cw = max(pad - KH + 1, 0), max(pad - KW + 1, 0)
-            src = g[:, ch : hout - ch, cw : wout - cw]
-            qh, qw = max(KH - 1 - pad, 0), max(KW - 1 - pad, 0)
-            gp = np.zeros((Cout, H + KH - 1, W + KW - 1, B), dtype=np.float64)
-            gp[:, qh : qh + src.shape[1], qw : qw + src.shape[2]] = src
             flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, -1)
-            gx = (flipped @ _im2col(gp, KH, KW, 1, H, W)).reshape(Cin, H, W, B)
+            gx = (flipped @ _gemm_operand(g, 1)).reshape(Cin, H, W, B)
         elif x.requires_grad:
-            gx = _col2im(w2.T @ gf, (Cin, H + 2 * pad, W + 2 * pad, B), KH, KW, stride, hout, wout)[:, pad : pad + H, pad : pad + W]
-        if bias is None:
-            return gx, gw
+            gx = _col2im(w2.T @ gf, x.shape, stride, hout, wout)
         return gx, gw, g.sum(axis=(1, 2, 3))
 
-    return _conv_node(out, (x, w) if bias is None else (x, w, bias), back, silu)
+    return _conv_node(out, (x, w, bias), back, silu)
 
 
 # Row (a, t) of _FOLD sums the taps of one 3-tap kernel axis that tap t of
@@ -696,8 +672,8 @@ def _fold_kernel(w: np.ndarray) -> np.ndarray:
     return (w.reshape(Cout * Cin, 9) @ _FOLD_2D.T).reshape(Cout, Cin, 2, 2, 2, 2)
 
 
-def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, silu: bool) -> Tensor:
-    """``conv2d(x, w, bias, pad=1, upsample=2, silu=silu)``, computed per output phase on x."""
+def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor, silu: bool) -> Tensor:
+    """``conv2d(x, w, bias, upsample=2, silu=silu)``, computed per output phase on x."""
     Cin, H, W, B = x.shape
     Cout = w.shape[0]
     x2 = x.data.reshape(Cin, H * W * B)
@@ -709,8 +685,7 @@ def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, silu: bool) -> Te
         out[:, dst[1], a, dst[2], b] += y[a, b, t, s][src]
     del y
     out = out.reshape(Cout, 2 * H, 2 * W, B)
-    if bias is not None:
-        out += bias.data[:, None, None, None]
+    out += bias.data[:, None, None, None]
 
     def back(g):
         # each tap's copy of its phase of g, moved by minus the tap's offset
@@ -722,8 +697,6 @@ def _upsampled_conv(x: Tensor, w: Tensor, bias: Tensor | None, silu: bool) -> Te
         gtaps = (shifted @ x2.T).reshape(2, 2, 2, 2, Cout, Cin).transpose(4, 5, 0, 2, 1, 3)
         gw = (gtaps.reshape(Cout * Cin, 16) @ _FOLD_2D).reshape(w.shape)
         gx = (taps.T @ shifted).reshape(Cin, H, W, B) if x.requires_grad else None
-        if bias is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(1, 2, 3))
 
-    return _conv_node(out, (x, w) if bias is None else (x, w, bias), back, silu)
+    return _conv_node(out, (x, w, bias), back, silu)

@@ -478,7 +478,7 @@ def _load_trained(model: ClassifierModel, state: tuple) -> None:
 
 
 def _evaluate(model: ClassifierModel, ds: LabeledDataset) -> M.EvalReport:
-    return M.evaluate_probs(model.predict_proba(ds.images), ds.labels, subgroups=ds.subgroup)
+    return M.evaluate_probs(model.predict_proba(ds.images), ds.labels)
 
 
 def diffupt_run(

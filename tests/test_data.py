@@ -119,7 +119,7 @@ def test_generation_peak_memory_is_about_one_output():
 def test_generation_temporaries_do_not_grow_with_the_image_count():
     def temporaries(n):
         ds, peak = _generation_peak(n - n // 6, n // 6)
-        held = sum(a.nbytes for a in (ds.images, ds.labels, ds.provenance, ds.subgroup, *ds.truth.values()))
+        held = sum(a.nbytes for a in (ds.images, ds.labels, ds.provenance, *ds.truth.values()))
         return peak - held
 
     small, large = temporaries(2_400), temporaries(24_000)
@@ -143,11 +143,6 @@ def test_measurement_tracks_ground_truth():
     err = measured - ds.truth["cup_ratio"]
     assert abs(np.nanmean(err)) < 0.02
     assert np.nanstd(err) < 0.05
-
-
-def test_subgroups_cover_both_sides():
-    ds = generate_synth_fundus(SynthFundusConfig(seed=5), 200, 50)
-    assert set(np.unique(ds.subgroup)) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +399,20 @@ def test_concat_datasets_counts():
     assert both.class_counts == (8, 5)
 
 
+def test_concat_datasets_keeps_truth_only_when_every_part_has_the_same_keys():
+    a = generate_synth_fundus(SynthFundusConfig(seed=17, image_size=8), 5, 2)
+    b = generate_synth_fundus(SynthFundusConfig(seed=18, image_size=8), 3, 3)
+    both = concat_datasets([a, b])
+    assert both.truth.keys() == a.truth.keys()
+    for key, values in both.truth.items():
+        assert np.array_equal(values, np.concatenate([a.truth[key], b.truth[key]]))
+    assert concat_datasets([a, b.subset([])]).truth.keys() == a.truth.keys()  # a part without rows adds none
+    no_truth = LabeledDataset(images=b.images, labels=b.labels, provenance=b.provenance)
+    other_keys = LabeledDataset(images=b.images, labels=b.labels, provenance=b.provenance, truth={"cx": b.truth["cx"]})
+    assert concat_datasets([a, no_truth]).truth is None
+    assert concat_datasets([a, other_keys]).truth is None
+
+
 def test_concat_datasets_of_empty_parts_keeps_image_shape():
     empty = generate_synth_fundus(SynthFundusConfig(seed=19, image_size=8), 0, 0)
     out = concat_datasets([empty, empty.subset([])])
@@ -436,8 +445,6 @@ def test_dataset_rejects_labels_outside_zero_and_one(labels):
 @pytest.mark.parametrize(
     "field,kwargs",
     [
-        pytest.param("subgroup", {"subgroup": [0, 1, 0, 1, 0]}, id="subgroup-long"),
-        pytest.param("subgroup", {"subgroup": [0, 1]}, id="subgroup-short"),
         pytest.param("truth", {"truth": {"cup_ratio": np.zeros(5)}}, id="truth-long"),
         pytest.param("truth", {"truth": {"cup_ratio": np.zeros(3), "cx": np.zeros(2)}}, id="truth-short"),
     ],
@@ -451,8 +458,7 @@ def test_dataset_rejects_per_image_fields_of_another_length(field, kwargs):
 def test_dataset_subset_keeps_per_image_fields_aligned():
     ds = LabeledDataset(
         images=_pixels(0.1, 0.2, 0.3), labels=[0, 1, 0], provenance=[0, 0, 0],
-        subgroup=np.array([5, 6, 7]), truth={"cx": np.array([0.5, 0.6, 0.7])},
+        truth={"cx": np.array([0.5, 0.6, 0.7])},
     )
     part = ds.subset([2, 0])
-    assert part.subgroup.tolist() == [7, 5]
     assert part.truth["cx"].tolist() == [0.7, 0.5]

@@ -201,12 +201,11 @@ def test_mean_ssim_equals_the_per_window_definition(a, b, window):
     assert M.ssim(a[0], b[0], window=window) == pytest.approx(ssim_per_window_reference(a[0], b[0], window), rel=0, abs=1e-12)
 
 
-def test_evaluate_probs_bundles_subgroups():
-    probs = np.array([0.9, 0.2, 0.8, 0.3])
-    labels = np.array([1, 0, 1, 0])
-    groups = np.array(["l", "l", "r", "r"])
-    rep = M.evaluate_probs(probs, labels, subgroups=groups)
+def test_evaluate_probs_bundles_the_confusion_it_derives_from():
+    probs = np.array([0.9, 0.2, 0.8, 0.3, 0.6])
+    labels = np.array([1, 0, 1, 0, 0])
+    rep = M.evaluate_probs(probs, labels)
+    assert rep.confusion == M.ConfusionCounts(tp=2, fp=1, tn=2, fn=0)
     assert rep.sensitivity == pytest.approx(100.0)
-    assert rep.harmonic_mean == pytest.approx(100.0)
-    assert len(rep.confusion) == 3
-    assert {c.subgroup for c in rep.confusion} == {None, "l", "r"}
+    assert rep.specificity == pytest.approx(200.0 / 3.0)
+    assert rep.harmonic_mean == pytest.approx(80.0)

@@ -481,7 +481,7 @@ def _silu(x):
 
 
 def _conv(layer, x):
-    return conv2d_bruteforce(x, layer.w.data, stride=layer.stride, pad=layer.pad) + layer.b.data[None, :, None, None]
+    return conv2d_bruteforce(x, layer.w.data, stride=layer.stride) + layer.b.data[None, :, None, None]
 
 
 def _up(x):

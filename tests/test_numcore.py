@@ -51,15 +51,15 @@ def to_nchw(a):
     return a.transpose(CHWB_TO_NCHW)
 
 
-def conv2d_bruteforce(x, w, stride=1, pad=0):
-    """Independent sliding-window convolution oracle (nested loops). Each
-    step is one vector over the batch, so every output value is summed in
-    loop order, one product at a time."""
+def conv2d_bruteforce(x, w, stride=1):
+    """Independent sliding-window oracle of a conv zero-padded by 1 (nested
+    loops). Each step is one vector over the batch, so every output value is
+    summed in loop order, one product at a time."""
     B, Cin, H, W = x.shape
     Cout, _, KH, KW = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hout = (H + 2 * pad - KH) // stride + 1
-    wout = (W + 2 * pad - KW) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    hout = (H + 2 - KH) // stride + 1
+    wout = (W + 2 - KW) // stride + 1
     out = np.zeros((B, Cout, hout, wout))
     for co in range(Cout):
         for i in range(hout):
@@ -95,26 +95,21 @@ def test_conv2d_matches_bruteforce_5x5():
     rng = RngStream(11)
     x = rng.normal((1, 1, 5, 5))
     w = rng.normal((1, 1, 3, 3))
-    out = conv2d(Tensor(to_chwb(x)), Tensor(w))
+    out = conv2d(Tensor(to_chwb(x)), Tensor(w), Tensor(np.zeros(1)))
     assert np.allclose(to_nchw(out.data), conv2d_bruteforce(x, w), atol=1e-12)
 
 
 @pytest.mark.parametrize("h", range(1, 9))
-@pytest.mark.parametrize("k", range(1, 4))
-def test_conv2d_bruteforce_all_small_shapes(h, k):
-    if k > h:
-        pytest.skip("kernel larger than input")
-    rng = RngStream(h * 10 + k)
+@pytest.mark.parametrize("cin", range(1, 4))
+def test_conv2d_bruteforce_all_small_shapes(h, cin):
+    rng = RngStream(h * 10 + cin)
     for stride in (1, 2):
-        for pad in (0, 1):
-            if (h + 2 * pad - k) < 0:
-                continue
-            x = rng.normal((2, 2, h, h))
-            w = rng.normal((3, 2, k, k))
-            ours = to_nchw(conv2d(Tensor(to_chwb(x)), Tensor(w), stride=stride, pad=pad).data)
-            ref = conv2d_bruteforce(x, w, stride=stride, pad=pad)
-            assert np.array_equal(ours.shape, ref.shape)
-            assert np.allclose(ours, ref, atol=1e-12)
+        x = rng.normal((2, cin, h, h))
+        w = rng.normal((3, cin, 3, 3))
+        ours = to_nchw(conv2d(Tensor(to_chwb(x)), Tensor(w), Tensor(np.zeros(3)), stride=stride).data)
+        ref = conv2d_bruteforce(x, w, stride=stride)
+        assert np.array_equal(ours.shape, ref.shape)
+        assert np.allclose(ours, ref, atol=1e-12)
 
 
 def central_difference(loss, t, h=1e-6):
@@ -134,13 +129,13 @@ def central_difference(loss, t, h=1e-6):
     return num.reshape(t.shape)
 
 
-def conv2d_einsum_reference(x, w, b, g, stride, pad):
-    """NCHW oracle, one einsum per kernel tap (no im2col): output and the
-    gradients of sum(output * g) with respect to x, w and b."""
+def conv2d_einsum_reference(x, w, b, g, stride):
+    """NCHW oracle of a conv zero-padded by 1, one einsum per kernel tap (no
+    im2col): output and the gradients of sum(output * g) with respect to x, w and b."""
     KH, KW = w.shape[2:]
     H, W = x.shape[2:]
     hout, wout = g.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     out = np.zeros(g.shape)
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
@@ -151,7 +146,7 @@ def conv2d_einsum_reference(x, w, b, g, stride, pad):
             gw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, xp[tap])
             gxp[tap] += np.einsum("bohw,oc->bchw", g, w[:, :, i, j])
     out += b[None, :, None, None]
-    return out, gxp[:, :, pad : pad + H, pad : pad + W], gw, g.sum(axis=(0, 2, 3))
+    return out, gxp[:, :, 1 : H + 1, 1 : W + 1], gw, g.sum(axis=(0, 2, 3))
 
 
 def _rel_err(a, ref):
@@ -162,13 +157,12 @@ def test_einsum_reference_matches_bruteforce():
     rng = RngStream(12)
     x, w = rng.normal((3, 2, 7, 6)), rng.normal((4, 2, 3, 3))
     for stride in (1, 2):
-        for pad in (0, 1):
-            ref = conv2d_bruteforce(x, w, stride=stride, pad=pad)
-            out, *_ = conv2d_einsum_reference(x, w, np.zeros(4), np.zeros(ref.shape), stride, pad)
-            assert _rel_err(out, ref) < 1e-13
+        ref = conv2d_bruteforce(x, w, stride=stride)
+        out, *_ = conv2d_einsum_reference(x, w, np.zeros(4), np.zeros(ref.shape), stride)
+        assert _rel_err(out, ref) < 1e-13
 
 
-# (input, kernel, stride) of convs the pipeline runs, at its batch sizes; all use pad 1
+# (input, kernel, stride) of convs the pipeline runs, at its batch sizes
 PIPELINE_CONV_SHAPES = [
     ((32, 1, 16, 16), (8, 1, 3, 3), 2),
     ((32, 16, 4, 4), (16, 16, 3, 3), 1),
@@ -187,10 +181,10 @@ def test_conv2d_forward_backward_match_einsum_at_pipeline_shapes(xshape, wshape,
     x = Tensor(to_chwb(x_nchw), requires_grad=True)
     w = Tensor(rng.normal(wshape), requires_grad=True)
     b = Tensor(rng.normal((wshape[0],)), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, pad=1)
+    out = conv2d(x, w, b, stride=stride)
     g = rng.normal(to_nchw(out.data).shape)
     backward((out * Tensor(to_chwb(g))).sum())
-    ref_out, ref_gx, ref_gw, ref_gb = conv2d_einsum_reference(x_nchw, w.data, b.data, g, stride, 1)
+    ref_out, ref_gx, ref_gw, ref_gb = conv2d_einsum_reference(x_nchw, w.data, b.data, g, stride)
     ours_all = (to_nchw(out.data), to_nchw(x.grad), w.grad, b.grad)
     for ours, ref in zip(ours_all, (ref_out, ref_gx, ref_gw, ref_gb)):
         assert ours.shape == ref.shape
@@ -203,23 +197,24 @@ def test_conv2d_forward_backward_match_einsum_at_pipeline_shapes(xshape, wshape,
     "stride,cin,cout",
     [pytest.param(1, 2, 3, id="1"), pytest.param(2, 2, 3, id="2"), pytest.param(1, 4, 1, id="1-out_side")],
 )
-@pytest.mark.parametrize("pad", [0, 1, 3])  # pad 3 >= K crops the output gradient
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_conv2d_gradients_match_finite_differences(stride, cin, cout, pad, with_bias):
+@pytest.mark.parametrize("grow", [0, 1, 3])  # rows and columns added to an 8x6 map: even and odd sizes
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_conv2d_gradients_match_finite_differences(stride, cin, cout, grow, x_grad):
     # B=5 equals no channel, kernel, input or output extent, so a batch/channel
     # mix-up in the internal layout cannot pass
-    rng = RngStream(300 + 4 * stride + 2 * pad + with_bias + 16 * (cin - 2))
-    x = Tensor(to_chwb(rng.normal((5, cin, 8, 6))), requires_grad=True)
+    rng = RngStream(300 + 4 * stride + 2 * grow + x_grad + 16 * (cin - 2))
+    x = Tensor(to_chwb(rng.normal((5, cin, 8 + grow, 6 + grow))), requires_grad=x_grad)
     w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
-    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
-    out = conv2d(x, w, b, stride=stride, pad=pad)
+    b = Tensor(rng.normal((cout,)), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride)
     r = Tensor(rng.normal(out.shape))
 
     def loss():
-        return (conv2d(x, w, b, stride=stride, pad=pad) * r).sum()
+        return (conv2d(x, w, b, stride=stride) * r).sum()
 
     backward(loss())
-    for t in (x, w) + ((b,) if with_bias else ()):
+    assert (x.grad is not None) == x_grad
+    for t in ((x,) if x_grad else ()) + (w, b):
         assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
 
 
@@ -235,11 +230,11 @@ class _CountingArray(np.ndarray):
 
 
 def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
-    # during backward the input gradient is an _im2col of the Cout-channel output
+    # during backward the input gradient is a _gemm_operand of the Cout-channel output
     # gradient (stride 1) or a _col2im (stride 2); a stride-1 weight gradient also
     # rebuilds the patch matrix of the Cin-channel input, which is not counted
     calls = []
-    for name in ("_im2col", "_col2im"):
+    for name in ("_gemm_operand", "_col2im"):
         fn = getattr(tops, name)
         monkeypatch.setattr(tops, name, lambda *a, fn=fn, name=name: calls.append((name, a[0].shape[0])) or fn(*a))
     # an upsampling conv's backward multiplies by its folded kernel only for the input gradient
@@ -248,9 +243,10 @@ def test_conv2d_skips_input_gradient_when_input_needs_none(monkeypatch):
     rng = RngStream(21)
     for cout, stride, upsample in [(4, 1, 1), (4, 2, 1), (4, 1, 2), (1, 1, 2)]:
         w = Tensor(rng.normal((cout, 2, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(cout), requires_grad=True)
         for needs_grad in (False, True):
             x = Tensor(to_chwb(rng.normal((3, 2, 5, 5))), requires_grad=needs_grad)
-            loss = conv2d(x, w, stride=stride, pad=1, upsample=upsample).sum()
+            loss = conv2d(x, w, b, stride=stride, upsample=upsample).sum()
             calls.clear()
             _CountingArray.products = 0
             backward(loss)
@@ -273,19 +269,19 @@ def test_stride1_conv_forward_keeps_no_patch_matrix_in_memory(cout, bound):
     rng = RngStream(23)
     x = Tensor(rng.normal((16, 4, 4, 32)), requires_grad=True)
     w = Tensor(rng.normal((cout, 16, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(cout), requires_grad=True)
     r = rng.normal((cout, 4, 4, 32))
-    backward((conv2d(x, w, pad=1) * Tensor(r)).sum())  # warm-up
-    x.grad = w.grad = None
+    backward((conv2d(x, w, b) * Tensor(r)).sum())  # warm-up
+    x.grad = w.grad = b.grad = None
     tracemalloc.start()
     try:
-        out = conv2d(x, w, pad=1)
+        out = conv2d(x, w, b)
         retained = tracemalloc.get_traced_memory()[0]  # the output is 64 or 16 KB
     finally:
         tracemalloc.stop()
     assert retained < bound
     backward((out * Tensor(r)).sum())  # the output gradient is r
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    reference = (r.reshape(cout, -1) @ tops._im2col(xp, 3, 3, 1, 4, 4).T).reshape(w.shape)
+    reference = (r.reshape(cout, -1) @ tops._gemm_operand(x.data, 1).T).reshape(w.shape)
     assert np.array_equal(w.grad, reference)  # the weight gradient is this product, bitwise
 
 
@@ -307,14 +303,14 @@ def test_upsampling_conv_matches_repeat_then_conv(xshape, wshape):
     x_chwb = rng.normal(xshape[1:] + xshape[:1])
     w_data, b_data = rng.normal(wshape), rng.normal((wshape[0],))
     up = to_nchw(x_chwb.repeat(2, 1).repeat(2, 2))
-    ref_out = conv2d_bruteforce(up, w_data, pad=1) + b_data[None, :, None, None]
+    ref_out = conv2d_bruteforce(up, w_data) + b_data[None, :, None, None]
     g = rng.normal(ref_out.shape)
     # gradients: those of the full-resolution conv, the input's summed over each 2x2 block
-    _, ref_gup, ref_gw, ref_gb = conv2d_einsum_reference(up, w_data, b_data, g, 1, 1)
+    _, ref_gup, ref_gw, ref_gb = conv2d_einsum_reference(up, w_data, b_data, g, 1)
     B, C, H, W = xshape
     ref_gx = ref_gup.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5))
     x, w, b = (Tensor(a, requires_grad=True) for a in (x_chwb, w_data, b_data))
-    out = conv2d(x, w, b, pad=1, upsample=2)
+    out = conv2d(x, w, b, upsample=2)
     backward((out * Tensor(to_chwb(g))).sum())
     for ours, ref in zip((to_nchw(out.data), to_nchw(x.grad), w.grad, b.grad), (ref_out, ref_gx, ref_gw, ref_gb)):
         assert ours.shape == ref.shape
@@ -322,20 +318,21 @@ def test_upsampling_conv_matches_repeat_then_conv(xshape, wshape):
 
 
 @pytest.mark.parametrize("cin,cout", [pytest.param(2, 3, id="2to3"), pytest.param(4, 1, id="4to1")])
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_upsampling_conv_gradients_match_finite_differences(cin, cout, with_bias):
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_upsampling_conv_gradients_match_finite_differences(cin, cout, x_grad):
     H, W = 3, 2  # a non-square map; B=5 equals no channel count or extent
-    rng = RngStream(500 + 8 * cin + with_bias)
-    x = Tensor(rng.normal((cin, H, W, 5)), requires_grad=True)
+    rng = RngStream(500 + 8 * cin + x_grad)
+    x = Tensor(rng.normal((cin, H, W, 5)), requires_grad=x_grad)
     w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
-    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
+    b = Tensor(rng.normal((cout,)), requires_grad=True)
     r = Tensor(rng.normal((cout, 2 * H, 2 * W, 5)))
 
     def loss():
-        return (conv2d(x, w, b, pad=1, upsample=2) * r).sum()
+        return (conv2d(x, w, b, upsample=2) * r).sum()
 
     backward(loss())
-    for t in (x, w) + ((b,) if with_bias else ()):
+    assert (x.grad is not None) == x_grad
+    for t in ((x,) if x_grad else ()) + (w, b):
         assert np.allclose(t.grad, central_difference(loss, t), rtol=1e-6, atol=1e-7)
 
 
@@ -344,22 +341,22 @@ def test_upsampling_conv_gradients_match_finite_differences(cin, cout, with_bias
     [
         pytest.param({"stride": 0}, id="stride0"),
         pytest.param({"stride": -1}, id="stride-neg"),
-        pytest.param({"pad": -1}, id="pad-neg"),
-        pytest.param({"pad": 1, "upsample": 3}, id="upsample3"),
-        pytest.param({"pad": 1, "upsample": 0}, id="upsample0"),
-        pytest.param({"pad": 0, "upsample": 2}, id="upsample-pad0"),
-        pytest.param({"pad": 1, "stride": 2, "upsample": 2}, id="upsample-stride2"),
-        pytest.param({"pad": 1, "upsample": 2, "k": 5}, id="upsample-5x5"),
+        pytest.param({"upsample": 3}, id="upsample3"),
+        pytest.param({"upsample": 0}, id="upsample0"),
+        pytest.param({"stride": 2, "upsample": 2}, id="upsample-stride2"),
+        pytest.param({"upsample": 2, "k": 5}, id="upsample-5x5"),
+        pytest.param({"k": 1}, id="1x1"),
     ],
 )
 def test_bad_conv_arguments_raise_shape_error(kwargs):
     kwargs = dict(kwargs)
     k = kwargs.pop("k", 3)
-    x, w = Tensor(np.zeros((2, 6, 6, 3))), Tensor(np.zeros((4, 2, k, k)))
+    x, w, b = Tensor(np.zeros((2, 6, 6, 3))), Tensor(np.zeros((4, 2, k, k))), Tensor(np.zeros(4))
     with pytest.raises(ShapeError):
-        conv2d(x, w, **kwargs)
-    with pytest.raises(ShapeError):
-        Conv2d(2, 4, k, RngStream(0), **kwargs)
+        conv2d(x, w, b, **kwargs)
+    if k == 3:  # a layer's kernel is always 3x3
+        with pytest.raises(ShapeError):
+            Conv2d(2, 4, RngStream(0), **kwargs)
 
 
 def test_elementwise_broadcast_rules():
@@ -440,7 +437,7 @@ def test_add_channel_bias_rejects_a_channel_first_bias():
 # ---------------------------------------------------------------------------
 
 
-# (Cin, Cout, stride, upsample) of convs at pad 1 on a 6x4 map: the three conv
+# (Cin, Cout, stride, upsample) of convs on a 6x4 map: the three conv
 # paths, and a stride-1 patch-side conv with few output channels (4->1; its id
 # names a conv path that is gone)
 CONV_PATHS = [
@@ -451,12 +448,12 @@ CONV_PATHS = [
 ]
 
 
-def _fused_conv_case(cin, cout, stride, upsample, with_bias, x_grad, seed):
+def _fused_conv_case(cin, cout, stride, upsample, b_grad, x_grad, seed):
     """Inputs of one conv on an odd batch (B=5) of non-square (6x4) maps, and an output weighting."""
     rng = RngStream(seed)
     x = Tensor(rng.normal((cin, 6, 4, 5)), requires_grad=x_grad)
     w = Tensor(rng.normal((cout, cin, 3, 3)), requires_grad=True)
-    b = Tensor(rng.normal((cout,)), requires_grad=True) if with_bias else None
+    b = Tensor(rng.normal((cout,)), requires_grad=b_grad)
     hout, wout = (12, 8) if upsample == 2 else (6 // stride, 4 // stride)
     r = Tensor(rng.normal((cout, hout, wout, 5)))
     return x, w, b, r
@@ -472,15 +469,15 @@ def _values_and_grads(forward, inputs, r):
 
 
 @pytest.mark.parametrize("cin,cout,stride,upsample", CONV_PATHS)
-@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("b_grad", [True, False])  # a trained or a fixed bias
 @pytest.mark.parametrize("x_grad", [True, False])
-def test_fused_conv_silu_is_bitwise_silu_of_conv(cin, cout, stride, upsample, with_bias, x_grad):
-    x, w, b, r = _fused_conv_case(cin, cout, stride, upsample, with_bias, x_grad, 700 + 8 * cin + stride + upsample)
-    inputs = [t for t in (x, w, b) if t is not None and t.requires_grad]
-    kwargs = {"stride": stride, "pad": 1, "upsample": upsample}
+def test_fused_conv_silu_is_bitwise_silu_of_conv(cin, cout, stride, upsample, b_grad, x_grad):
+    x, w, b, r = _fused_conv_case(cin, cout, stride, upsample, b_grad, x_grad, 700 + 8 * cin + stride + upsample)
+    inputs = [t for t in (x, w, b) if t.requires_grad]
+    kwargs = {"stride": stride, "upsample": upsample}
     fused = _values_and_grads(lambda: conv2d(x, w, b, silu=True, **kwargs), inputs, r)
     composed = _values_and_grads(lambda: silu(conv2d(x, w, b, **kwargs)), inputs, r)
-    assert (x.grad is not None) == x_grad
+    assert (x.grad is not None) == x_grad and (b.grad is not None) == b_grad
     for ours, ref in zip(fused, composed):
         assert np.array_equal(ours, ref)
 
@@ -490,7 +487,7 @@ def test_fused_conv_silu_gradients_match_finite_differences(cin, cout, stride, u
     x, w, b, r = _fused_conv_case(cin, cout, stride, upsample, True, True, 800 + 8 * cin + stride + upsample)
 
     def loss():
-        return (conv2d(x, w, b, stride=stride, pad=1, upsample=upsample, silu=True) * r).sum()
+        return (conv2d(x, w, b, stride=stride, upsample=upsample, silu=True) * r).sum()
 
     backward(loss())
     for t in (x, w, b):
@@ -504,7 +501,7 @@ def test_fused_conv_raises_on_a_non_finite_pre_activation(cin, cout, stride, ups
     x, w, b, _ = _fused_conv_case(cin, cout, stride, upsample, True, False, 900)
     b.data[0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-        conv2d(x, w, b, stride=stride, pad=1, upsample=upsample, silu=True)
+        conv2d(x, w, b, stride=stride, upsample=upsample, silu=True)
 
 
 def test_silu_gradient_is_bitwise_the_expression():
@@ -516,22 +513,19 @@ def test_silu_gradient_is_bitwise_the_expression():
     assert np.array_equal(x.grad, g * (s * (1.0 + x.data * (1.0 - s))))
 
 
-@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("one_column", [True, False])  # the classifier head's (16, 1) weights, or three columns
 @pytest.mark.parametrize("x_grad", [True, False])
-def test_linear_is_bitwise_matmul_plus_bias(with_bias, x_grad):
-    rng = RngStream(40 + 2 * with_bias + x_grad)
+def test_linear_is_bitwise_matmul_plus_bias(one_column, x_grad):
+    rng = RngStream(40 + 2 * one_column + x_grad)
+    n = 1 if one_column else 3
     x = Tensor(rng.normal((5, 4)), requires_grad=x_grad)
-    w = Tensor(rng.normal((4, 3)), requires_grad=True)
-    b = Tensor(rng.normal((3,)), requires_grad=True) if with_bias else None
-    r = Tensor(rng.normal((5, 3)))
-    inputs = [t for t in (x, w, b) if t is not None and t.requires_grad]
-
-    def composed():
-        out = matmul(x, w)
-        return out + b if with_bias else out
+    w = Tensor(rng.normal((4, n)), requires_grad=True)
+    b = Tensor(rng.normal((n,)), requires_grad=True)
+    r = Tensor(rng.normal((5, n)))
+    inputs = [t for t in (x, w, b) if t.requires_grad]
 
     fused = _values_and_grads(lambda: linear(x, w, b), inputs, r)
-    for ours, ref in zip(fused, _values_and_grads(composed, inputs, r)):
+    for ours, ref in zip(fused, _values_and_grads(lambda: matmul(x, w) + b, inputs, r)):
         assert np.array_equal(ours, ref)
     for t in inputs:
         t.grad = None
@@ -662,7 +656,7 @@ def _backward_peak_above_forward(depth: int) -> int:
     """tracemalloc peak of ``backward`` through ``depth`` equal convs, above
     what their forward pass left allocated (the tape's saved buffers and outputs)."""
     rng = RngStream(31)
-    convs = [Conv2d(8, 8, 3, rng.split(f"conv{i}"), pad=1, silu=True) for i in range(depth)]
+    convs = [Conv2d(8, 8, rng.split(f"conv{i}"), silu=True) for i in range(depth)]
     for conv in convs:  # gradient buffers that persist are allocated up front
         conv.w.tensor.grad, conv.b.tensor.grad = np.zeros(conv.w.shape), np.zeros(conv.b.shape)
     x = Tensor(rng.normal((8, 8, 8, 16)))  # (C, H, W, B)
@@ -702,7 +696,7 @@ def test_no_grad_suspends_tape():
 class _TwoLayerNet(Module):
     def __init__(self, rng):
         super().__init__()
-        self.c1 = Conv2d(1, 2, 3, rng, stride=1, pad=1)
+        self.c1 = Conv2d(1, 2, rng)
         self.l1 = Linear(2 * 16, 3, rng)
 
     def __call__(self, x):
@@ -757,16 +751,17 @@ def test_mixed_op_gradient_check():
     table = Tensor(rng.normal((3, 4)), requires_grad=True)
     x = Tensor(rng.normal((2, 1, 2, 2)), requires_grad=True)
     k = Tensor(rng.normal((2, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal((2,)), requires_grad=True)
     idx = np.array([0, 2])
 
     def forward():
         e = embedding(table, idx)
-        up = conv2d(x, k, pad=1, upsample=2).reshape(2, 16)
+        up = conv2d(x, k, b, upsample=2).reshape(2, 16)
         joined = concat([up, e], axis=1)
         return (joined * joined).mean()
 
     backward(forward())
-    for t in (table, x, k):
+    for t in (table, x, k, b):
         assert np.allclose(t.grad, central_difference(forward, t), rtol=1e-5, atol=1e-8)
 
 

@@ -60,6 +60,27 @@ def test_finetune_starts_with_fresh_optimizer_state(monkeypatch):
     assert res.model.trained and not np.array_equal(values, res.model.parameter_buffer[0])
 
 
+class _FixedBaseline:
+    """Stands in for the baseline classifier: an image's probability is its first pixel."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict_proba(self, images):
+        self.calls += 1
+        return images[:, 0, 0, 0].copy()
+
+
+def test_filter_samples_keeps_each_class_at_or_above_the_threshold_in_input_order():
+    probs = np.array([0.25, 0.9, 0.75, 0.1, 0.5])  # 0.75 and 1 - 0.25 are exactly the threshold
+    samples = np.broadcast_to(probs[:, None, None, None], (5, 1, 2, 2)).copy()
+    baseline = _FixedBaseline()
+    assert np.array_equal(P.filter_samples(samples, 1, baseline, 0.75), samples[[1, 2]])
+    assert np.array_equal(P.filter_samples(samples, 0, baseline, 0.75), samples[[0, 3]])
+    empty = P.filter_samples(samples[:0], 1, baseline, 0.75)
+    assert empty.shape == (0, 1, 2, 2) and baseline.calls == 2
+
+
 # ---------------------------------------------------------------------------
 # tiny end-to-end experiments: every method and ablation, rerun bitwise
 # ---------------------------------------------------------------------------
