@@ -73,7 +73,8 @@ applies SiLU to the biased conv output, ``linear`` is a matmul plus bias,
 ``mean_pool`` is global average pooling of (C, H, W, B) maps to (B, C) rows
 and ``bce_with_logits`` is a whole binary cross-entropy loss, each as one
 node. Each is bitwise the composition it replaces, in value and in every
-gradient: its forward runs the same numpy operations on the same operands,
+gradient (but for the value of a one-column ``linear``, which sums each
+row's products on its own): its forward runs the same numpy operations on the same operands,
 and its backward performs, in place where it can, the same IEEE operation
 on the same two operands at each step (operand order aside, which IEEE
 addition and multiplication ignore) and accumulates gradient terms in the
@@ -308,12 +309,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer ``x @ w + b`` of (B, K) rows, (K, N) weights and an (N,)
-    bias, as one node: the values and gradients of ``matmul`` then ``+``."""
+    bias, as one node: the values and gradients of ``matmul`` then ``+``.
+
+    With one output column (N = 1) the product is each row's sum of
+    elementwise products, ``(x * w[:, 0]).sum(axis=1)``, which depends on
+    that row alone. ``x @ w`` would round some rows differently at some row
+    counts (a matrix-vector routine's row tails), so a classifier's
+    probability would depend on how many rows share its pass. The gradients
+    are those of ``x @ w`` either way.
+    """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear expects (B,K)@(K,N), got {x.shape} @ {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias must be ({w.shape[1]},), got {b.shape}")
-    value = x.data @ w.data
+    value = (x.data * w.data[:, 0]).sum(axis=1)[:, None] if w.shape[1] == 1 else x.data @ w.data
     value += b.data
 
     def back(g):

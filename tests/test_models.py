@@ -217,12 +217,12 @@ def _pipeline_sized_pass(path):
     if path == "decode":
         return lambda n: decode(ae, latents[:n]), _one_pass(ae.decode_t, latents)
     model = _randomized(ClassifierModel((1, 16, 16), RngStream(3)))
+    if path == "predict_proba":
+        return lambda n: model.predict_proba(images[:n]), _sigmoid_np(_one_pass(model.logits_t, images))
     return lambda n: model.extract_features(images[:n]), _one_pass(model.features_t, images)
 
 
-# predict_proba is left out: its one-column head product rounds some rows
-# differently at some row counts (CHANGES.md, ROADMAP item 2)
-@pytest.mark.parametrize("path", ["denoiser.predict", "encode", "decode", "extract_features"])
+@pytest.mark.parametrize("path", ["denoiser.predict", "encode", "decode", "extract_features", "predict_proba"])
 @given(n=st.integers(1, LARGER_PASS_ROWS - 1))
 @example(n=1)
 @example(n=63)
