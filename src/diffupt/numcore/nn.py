@@ -166,7 +166,8 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    """Dense layer x @ w + b with He-scaled init, one ``T.linear`` node a call."""
+    """Dense layer x @ w + b, always with a bias (zero at init) and He-scaled
+    weights, one ``T.linear`` node a call."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: RngStream):
         super().__init__()
