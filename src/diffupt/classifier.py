@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics as M
 from . import numcore as nc
-from .data import IndexSampler, LabeledDataset, class_weights
+from .data import IndexSampler, LabeledDataset, check_counts, class_weights
 from .diffusion import DivergenceError
 from .numcore import (
     NCHW_TO_CHWB,
@@ -108,12 +108,8 @@ class TrainRegime:
     eval_every: int = 100
 
     def __post_init__(self):
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        check_counts(self, 1, "batch", "eval_every")
+        check_counts(self, 0, "iterations")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 

@@ -17,6 +17,20 @@ from .numcore import RngStream
 REAL, SYNTHETIC = 0, 1
 
 
+def is_count(n, minimum: int = 0) -> bool:
+    """Whether ``n`` is a whole number >= ``minimum``: a Python or numpy integer, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= minimum
+
+
+def check_counts(config, minimum: int, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``config``'s fields ``names``
+    that is not a whole number >= ``minimum``."""
+    for name in names:
+        n = getattr(config, name)
+        if not is_count(n, minimum):
+            raise ValueError(f"{name} must be a whole number >= {minimum}, got {n!r}")
+
+
 class SplitDeficitError(ValueError):
     """Not enough minority samples to hit a requested split composition."""
 
@@ -69,7 +83,12 @@ class LabeledDataset:
         return n_pos / max(1, n_neg + n_pos)
 
     def subset(self, idx) -> "LabeledDataset":
-        idx = np.asarray(idx, dtype=np.int64)
+        """The rows at integer positions ``idx``, in that order."""
+        idx = np.asarray(idx)
+        # a boolean mask cast to integers would pick rows 0 and 1 over and over
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset takes integer row positions, got an index of dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return LabeledDataset(
             images=self.images[idx],
             labels=self.labels[idx],

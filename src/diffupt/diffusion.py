@@ -1,5 +1,5 @@
-"""Conditional denoising diffusion: schedule, loss, ancestral and
-deterministic samplers, classifier-free guidance.
+"""Conditional denoising diffusion: schedule, loss, and the one sampler,
+deterministic DDIM (eta = 0, Song et al. 2021) with classifier-free guidance.
 
 The trained network predicts the noise injected by the forward process.
 Class conditioning goes through a 3-row embedding table (class 0, class 1,
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .data import check_counts
 from .numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
@@ -54,9 +55,7 @@ class NoiseSchedule:
 
     T: int
     beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
-    sigma: np.ndarray
 
     def abar(self, t) -> np.ndarray:
         """Cumulative signal coefficient; abar(0) == 1 by convention."""
@@ -75,11 +74,7 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) ->
     if not (0.0 < beta_start < beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
     beta = np.linspace(beta_start, beta_end, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    abar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
-    sigma = np.sqrt(beta * (1.0 - abar_prev) / (1.0 - alpha_bar))
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=sigma)
+    return NoiseSchedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 
 
 def _per_sample(coef: np.ndarray, ndim: int) -> np.ndarray:
@@ -156,28 +151,6 @@ class DenoiserModel(Module):
         emb = Tensor(sinusoidal_embedding(t, self.emb_dim))
         h = silu(self.time_proj(emb))
         return h + self.class_embed(np.asarray(y, dtype=np.int64))
-
-
-class MlpDenoiser(DenoiserModel):
-    """Fully connected denoiser for flat vectors (toy problems)."""
-
-    def __init__(self, dim: int, hidden: int, emb_dim: int, rng: RngStream):
-        super().__init__()
-        self.data_shape = (dim,)
-        self.emb_dim = emb_dim
-        self.time_proj = Linear(emb_dim, emb_dim, rng.split("time"))
-        self.class_embed = Embedding(3, emb_dim, rng.split("class"))
-        self.fc_in = Linear(dim, hidden, rng.split("in"))
-        self.cond_proj = Linear(emb_dim, hidden, rng.split("cond"))
-        self.fc_mid = Linear(hidden, hidden, rng.split("mid"))
-        self.fc_out = Linear(hidden, dim, rng.split("out"))
-        self.pack_parameters()
-
-    def __call__(self, x: Tensor, t, y) -> Tensor:
-        cond = self.cond_proj(self._cond(t, y))
-        h = silu(self.fc_in(x) + cond)
-        h = silu(self.fc_mid(h))
-        return self.fc_out(h)
 
 
 class _CondBlock(Module):
@@ -298,10 +271,8 @@ class DiffusionTrainConfig:
     ema_decay: float = 0.999  # weight average used for sampling stability
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        check_counts(self, 0, "iterations")
+        check_counts(self, 1, "batch")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("p_uncond", "ema_decay"):
@@ -351,15 +322,6 @@ def train_diffusion(
     return losses
 
 
-def smoothed(losses: np.ndarray, alpha: float = 0.05) -> np.ndarray:
-    out = np.empty_like(losses)
-    acc = losses[0]
-    for i, v in enumerate(losses):
-        acc = (1 - alpha) * acc + alpha * v
-        out[i] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -367,49 +329,27 @@ def smoothed(losses: np.ndarray, alpha: float = 0.05) -> np.ndarray:
 
 @dataclass
 class SampleMethod:
-    kind: str = "ddim"  # ddim (deterministic, eta = 0) | ddpm
+    """DDIM at eta = 0 over ``steps`` timesteps of the schedule. ``kind`` has
+    one value; it stays the first field because callers pass it positionally."""
+
+    kind: str = "ddim"
     steps: int = 50
 
     def __post_init__(self):
-        if self.kind not in ("ddim", "ddpm"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.kind != "ddim":
+            raise ValueError(f"unknown sampler kind {self.kind!r}; DDIM is the only sampler")
+        check_counts(self, 1, "steps")
 
 
-def ddpm_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule, rng: RngStream) -> np.ndarray:
-    """Ancestral reverse step with posterior-variance noise (none at t=1)."""
-    sched.check_t(t)
-    i = t - 1
-    mean = (x_t - (sched.beta[i] / np.sqrt(1.0 - sched.alpha_bar[i])) * eps_hat) / np.sqrt(sched.alpha[i])
-    if t > 1:
-        return mean + sched.sigma[i] * rng.normal(np.shape(x_t))
-    return mean
-
-
-def ddim_step(
-    x_t: np.ndarray,
-    t: int,
-    t_prev: int,
-    eps_hat: np.ndarray,
-    sched: NoiseSchedule,
-    eta: float = 0.0,
-    rng: RngStream | None = None,
-) -> np.ndarray:
-    """Deterministic (eta=0) or semi-stochastic accelerated reverse step."""
+def ddim_step(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Deterministic (eta = 0) reverse step from ``t`` to ``t_prev`` < ``t``."""
     if t_prev >= t:
         raise ValueError(f"t_prev must be < t, got {t_prev} >= {t}")
     sched.check_t(t)
     ab_t = sched.alpha_bar[t - 1]
     ab_p = float(sched.abar(t_prev))
     x0_pred = (x_t - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-    sig = eta * np.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * np.sqrt(1.0 - ab_t / ab_p)
-    out = np.sqrt(ab_p) * x0_pred + np.sqrt(np.maximum(1.0 - ab_p - sig**2, 0.0)) * eps_hat
-    if eta > 0 and t_prev > 0:
-        if rng is None:
-            raise ValueError("eta > 0 requires an rng")
-        out = out + sig * rng.normal(np.shape(x_t))
-    return out
+    return np.sqrt(ab_p) * x0_pred + np.sqrt(1.0 - ab_p) * eps_hat
 
 
 def ddim_timesteps(T: int, steps: int) -> np.ndarray:
@@ -443,14 +383,9 @@ def sample_raw(
     if n == 0:
         return np.zeros(shape)
     x = rng.normal(shape)
-    if method.kind == "ddpm":
-        for t in range(sched.T, 0, -1):
-            eps = predict_eps(model, x, t, y, guidance.w)
-            x = ddpm_step(x, t, eps, sched, rng)
-    else:
-        ts = ddim_timesteps(sched.T, method.steps)
-        for i, t in enumerate(ts):
-            t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
-            eps = predict_eps(model, x, int(t), y, guidance.w)
-            x = ddim_step(x, int(t), t_prev, eps, sched)
+    ts = ddim_timesteps(sched.T, method.steps)
+    for i, t in enumerate(ts):
+        t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
+        eps = predict_eps(model, x, int(t), y, guidance.w)
+        x = ddim_step(x, int(t), t_prev, eps, sched)
     return x

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffusion as df
 from . import numcore as nc
-from .data import LabeledDataset
+from .data import LabeledDataset, check_counts
 from .metrics import ssim_map
 from .numcore import (
     CHWB_TO_NCHW,
@@ -111,10 +111,8 @@ class AeTrainConfig:
     lr: float = 2e-3
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        check_counts(self, 0, "iterations")
+        check_counts(self, 1, "batch")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 

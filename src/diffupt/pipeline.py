@@ -48,7 +48,7 @@ import numpy as np
 
 from . import metrics as M
 from .classifier import ClassifierModel, TrainRegime, embedding_statistics, multi_stage_retrain, train_classifier
-from .data import SYNTHETIC, LabeledDataset, class_dataset, concat_datasets, smote_oversample
+from .data import SYNTHETIC, LabeledDataset, check_counts, class_dataset, concat_datasets, is_count, smote_oversample
 from .diffusion import (
     DenoiserModel,
     DiffusionTrainConfig,
@@ -203,11 +203,6 @@ class GenerationShortfallError(RuntimeError):
         return type(self), (str(self), self.partial, self.stats)
 
 
-def _is_count(n) -> bool:
-    """Whether ``n`` is a whole number >= 0: a Python or numpy integer, not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
-
-
 @dataclass
 class GenerationPlan:
     target_counts: tuple[int, int] = (1200, 1200)  # (n_negative, n_positive)
@@ -220,7 +215,7 @@ class GenerationPlan:
 
     def __post_init__(self):
         counts = self.target_counts
-        if not (isinstance(counts, (tuple, list)) and len(counts) == 2 and all(map(_is_count, counts))):
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 2 and all(map(is_count, counts))):
             raise ValueError(f"target_counts must be a pair of whole numbers >= 0, got {counts!r}")
         if self.filter not in ("none", "baseline"):
             raise ValueError(f"unknown filter {self.filter!r}")
@@ -228,11 +223,9 @@ class GenerationPlan:
             raise ValueError("filter threshold must lie in (0,1)")
         if not (np.isfinite(self.max_attempts_factor) and self.max_attempts_factor >= 1.0):
             raise ValueError(f"max_attempts_factor must be finite and >= 1, got {self.max_attempts_factor}")
-        if self.gen_batch < 1:
-            raise ValueError(f"gen_batch must be >= 1, got {self.gen_batch}")
-        # DDPM walks every timestep and ignores steps
-        if self.method.kind == "ddim" and self.method.steps > TIMESTEPS:
-            raise ValueError(f"steps must be <= the schedule's {TIMESTEPS} timesteps for DDIM, got {self.method.steps}")
+        check_counts(self, 1, "gen_batch")
+        if self.method.steps > TIMESTEPS:
+            raise ValueError(f"steps must be <= the schedule's {TIMESTEPS} timesteps, got {self.method.steps}")
 
     def attempt_budget(self, cls: int) -> int:
         """The most samples class ``cls`` may draw to reach its target."""
@@ -690,7 +683,7 @@ def distribution_ablation(
     ctx: ExperimentContext | None = None,
 ) -> list[DistributionRow]:
     """Pretrain-only models on synthetic sets of varying class composition."""
-    if not _is_count(total):
+    if not is_count(total):
         raise ValueError(f"total must be a whole number >= 0, got {total!r}")
     for pos_pct, neg_pct in distributions:
         if not (0 <= pos_pct <= 100 and 0 <= neg_pct <= 100):

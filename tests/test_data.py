@@ -462,3 +462,16 @@ def test_dataset_subset_keeps_per_image_fields_aligned():
     )
     part = ds.subset([2, 0])
     assert part.truth["cx"].tolist() == [0.7, 0.5]
+
+
+def test_dataset_subset_takes_integer_row_positions_only():
+    ds = LabeledDataset(images=_pixels(*np.linspace(0.0, 0.9, 10)), labels=[0] * 6 + [1] * 4, provenance=[0] * 10)
+    # cast to integers, this mask picked rows 0 and 1, both negatives, ten times over
+    with pytest.raises(ValueError, match="dtype bool"):
+        ds.subset(ds.labels == 1)
+    with pytest.raises(ValueError, match="dtype float64"):
+        ds.subset([6.0, 7.0])
+    assert len(ds.subset([])) == 0
+    positives = ds.subset(np.flatnonzero(ds.labels == 1))
+    assert positives.class_counts == (0, 4)
+    assert positives.images.ravel().tolist() == ds.images.ravel()[6:].tolist()

@@ -386,7 +386,6 @@ def test_generation_settings_accept_their_bounds():
     plan = P.GenerationPlan(guidance=GuidanceSpec(w=0.0), method=SampleMethod(steps=1), max_attempts_factor=1.0)
     assert plan.attempt_budget(1) == plan.target_counts[1]
     P.GenerationPlan(method=SampleMethod(steps=P.TIMESTEPS))
-    P.GenerationPlan(method=SampleMethod("ddpm", steps=P.TIMESTEPS + 1))  # DDPM ignores steps
     P.GenerationPlan(target_counts=(0, 0))
     P.GenerationPlan(target_counts=(np.int64(3), np.int32(0)))
 
