@@ -35,11 +35,6 @@ from .numcore import (
 )
 
 
-# Rows per network pass in predict_proba and extract_features (``in_row_blocks``
-# gives the per-row bytes).
-CLASSIFIER_PASS_ROWS = 128
-
-
 class ClassifierModel(Module):
     """Conv feature extractor over (C, H, W) images plus a one-logit sigmoid head."""
 
@@ -73,10 +68,10 @@ class ClassifierModel(Module):
         return self.head(self.features_t(x)).reshape(-1)
 
     def extract_features(self, images: np.ndarray) -> np.ndarray:
-        return in_row_blocks(self.features_t, CLASSIFIER_PASS_ROWS, np.asarray(images, dtype=np.float64))
+        return in_row_blocks(self.features_t, np.asarray(images, dtype=np.float64))
 
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        logits = in_row_blocks(self.logits_t, CLASSIFIER_PASS_ROWS, np.asarray(images, dtype=np.float64))
+        logits = in_row_blocks(self.logits_t, np.asarray(images, dtype=np.float64))
         return nc.tensor._sigmoid_np(logits)
 
 
@@ -170,8 +165,6 @@ def _train(
             logits = net(x)
             loss = bce_loss(logits, ds.labels[idx], weights)
             val = loss.item()
-            if not np.isfinite(val):
-                raise nc.NonFiniteError("loss")
             backward(loss)
             adam_step(params, regime.lr)
         except nc.NonFiniteError as e:
@@ -189,25 +182,29 @@ def _train(
 def multi_stage_retrain(
     model: ClassifierModel,
     ds: LabeledDataset,
+    regime: TrainRegime,
     rng: RngStream,
     val_ds: LabeledDataset | None = None,
-    iterations: int = 600,
-    lr: float = 1e-3,
-    batch: int = 32,
 ) -> list[HistoryRow]:
-    """Re-initialize the head and retrain it class-balanced on the training
-    set's features, computed once: the feature extractor is never stepped, and
-    no gradient reaches it."""
+    """Stage 2 of decoupled retraining after stage 1 trained ``model`` under
+    ``regime``: re-initialize the head and retrain it class-balanced on the
+    training set's features, computed once, for half of stage 1's iterations
+    (at least one) at its learning rate and batch. The feature extractor is
+    never stepped, and no gradient reaches it."""
     if not model.trained:
         warnings.warn("multi_stage_retrain called on an untrained model; proceeding")
     model.head.reset(rng.split("head-reinit"))
-    regime = TrainRegime(balanced_sampler=True, lr=lr, iterations=iterations, batch=batch)
+    stage2 = TrainRegime(balanced_sampler=True, lr=regime.lr, iterations=max(1, regime.iterations // 2), batch=regime.batch)
     features = model.extract_features(ds.images)
     head = model.head
-    return _train(model, head.parameters(), features, lambda f: head(f).reshape(-1), ds, regime, rng.split("stage2"), val_ds)
+    return _train(model, head.parameters(), features, lambda f: head(f).reshape(-1), ds, stage2, rng.split("stage2"), val_ds)
 
 
-def embedding_statistics(model: ClassifierModel, ds: LabeledDataset, reg: float = 1e-6) -> dict[str, float]:
+# ridge added to each covariance before the Bhattacharyya distance's determinants and solve
+_COV_RIDGE = 1e-6
+
+
+def embedding_statistics(model: ClassifierModel, ds: LabeledDataset) -> dict[str, float]:
     """Per-class feature variance (covariance trace) and Bhattacharyya overlap."""
     feats = model.extract_features(ds.images)
     out: dict[str, float] = {}
@@ -220,10 +217,10 @@ def embedding_statistics(model: ClassifierModel, ds: LabeledDataset, reg: float 
         mus.append(mu)
         covs.append(np.atleast_2d(cov))
     d = feats.shape[1]
-    sig = 0.5 * (covs[0] + covs[1]) + reg * np.eye(d)
+    sig = 0.5 * (covs[0] + covs[1]) + _COV_RIDGE * np.eye(d)
     diff = mus[0] - mus[1]
     sign, logdet = np.linalg.slogdet(sig)
-    dets = [np.linalg.slogdet(c + reg * np.eye(d))[1] for c in covs]
+    dets = [np.linalg.slogdet(c + _COV_RIDGE * np.eye(d))[1] for c in covs]
     out["bhattacharyya"] = float(
         0.125 * diff @ np.linalg.solve(sig, diff) + 0.5 * (logdet - 0.5 * (dets[0] + dets[1]))
     )

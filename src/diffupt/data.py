@@ -201,8 +201,9 @@ def generate_synth_fundus(cfg: SynthFundusConfig, n_negative: int, n_positive: i
     Ground-truth generative parameters (cup ratio, disc radius, centre) are
     retained on the dataset for oracle checks.
     """
-    if n_negative < 0 or n_positive < 0:
-        raise ValueError("counts must be non-negative")
+    for name, count in (("n_negative", n_negative), ("n_positive", n_positive)):
+        if not is_count(count):
+            raise ValueError(f"{name} must be a whole number >= 0, got {count!r}")
     size = cfg.image_size
     n = n_negative + n_positive
     if n == 0:

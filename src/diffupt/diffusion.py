@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .data import check_counts
+from .data import check_counts, is_count
 from .numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
@@ -131,11 +131,6 @@ def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-# Rows per network pass in ``DenoiserModel.predict`` (``in_row_blocks`` gives
-# the per-row bytes); the sampler's update and RNG draws stay whole-batch.
-DENOISER_PASS_ROWS = 64
-
-
 class DenoiserModel(Module):
     """Base: noise predictor conditioned on timestep and class token."""
 
@@ -145,7 +140,7 @@ class DenoiserModel(Module):
         raise NotImplementedError
 
     def predict(self, x: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return in_row_blocks(self, DENOISER_PASS_ROWS, x, t, y)
+        return in_row_blocks(self, x, t, y)
 
     def _cond(self, t: np.ndarray, y: np.ndarray) -> Tensor:
         emb = Tensor(sinusoidal_embedding(t, self.emb_dim))
@@ -308,8 +303,6 @@ def train_diffusion(
         try:
             loss = diffusion_loss(model, x0[idx], y[idx], sched, rng, cfg.p_uncond)
             val = loss.item()
-            if not np.isfinite(val):
-                raise nc.NonFiniteError("loss")
             backward(loss)
             adam_step(params, cfg.lr)
         except nc.NonFiniteError as e:
@@ -378,7 +371,12 @@ def sample_raw(
     sched: NoiseSchedule,
     rng: RngStream,
 ) -> np.ndarray:
-    """Reverse-process samples, unclamped (``latentae.latent_diffusion_sample`` decodes and clamps them)."""
+    """Reverse-process samples of class ``y`` (0 or 1), unclamped
+    (``latentae.latent_diffusion_sample`` decodes and clamps them)."""
+    if not is_count(n):
+        raise ValueError(f"n must be a whole number >= 0, got {n!r}")
+    if not (is_count(y) and y <= 1):
+        raise ValueError(f"y must be class 0 or 1, got {y!r}")
     shape = (n,) + tuple(model.data_shape)
     if n == 0:
         return np.zeros(shape)

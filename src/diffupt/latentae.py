@@ -66,16 +66,12 @@ class Autoencoder(Module):
         return permute(self.out(h), CHWB_TO_NCHW)
 
 
-# Rows per network pass in encode/decode (``in_row_blocks`` gives the per-row bytes).
-AE_PASS_ROWS = 64
-
-
 def encode(ae: Autoencoder, images: np.ndarray) -> np.ndarray:
     """Deterministic image -> latent map (``whiten`` gives what diffusion sees)."""
     images = np.asarray(images, dtype=np.float64)
     if images.shape[1:] != ae.image_shape:
         raise ShapeError(f"expected images shaped (N,{ae.image_shape}), got {images.shape}")
-    return in_row_blocks(ae.encode_t, AE_PASS_ROWS, images)
+    return in_row_blocks(ae.encode_t, images)
 
 
 def whiten(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
@@ -94,7 +90,7 @@ def decode(ae: Autoencoder, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape[1:] != ae.latent_shape:
         raise ShapeError(f"expected latents shaped (N,{ae.latent_shape}), got {z.shape}")
-    return in_row_blocks(ae.decode_t, AE_PASS_ROWS, z)
+    return in_row_blocks(ae.decode_t, z)
 
 
 def calibrate_latents(ae: Autoencoder, z: np.ndarray) -> None:
@@ -141,7 +137,7 @@ def reconstruction_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, sp
     decoding and scoring all rows at once, bit for bit."""
     squared = np.empty(images.shape)
     ssim = None
-    for a, b in row_blocks(len(z), AE_PASS_ROWS):
+    for a, b in row_blocks(len(z)):
         recon = decode(ae, z[a:b])
         np.subtract(recon, images[a:b], out=squared[a:b])
         block = ssim_map(images[a:b], np.clip(recon, 0.0, 1.0, out=recon))
@@ -181,8 +177,6 @@ def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, r
             recon = ae.decode_t(ae.encode_t(batch))
             diff = recon - batch
             loss = (diff * diff).mean()
-            if not np.isfinite(loss.item()):
-                raise nc.NonFiniteError("loss")
             backward(loss)
             adam_step(params, cfg.lr)
         except nc.NonFiniteError as e:

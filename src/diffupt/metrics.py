@@ -2,7 +2,9 @@
 
 Classification: confusion counts at a threshold, sensitivity/specificity,
 their harmonic mean, and trapezoidal ROC AUC. SSIM scores how well the
-autoencoder reconstructs its images (``latentae.ReconstructionReport``).
+autoencoder reconstructs its images (``latentae.ReconstructionReport``):
+``ssim_map`` gives every 8x8 window's value, with the stability constants
+of Wang et al. (2004) for images in [0, 1]; the report takes their mean.
 
 Percentages are reported in [0, 100]. Undefined ratios (empty denominator,
 single-class AUC) return NaN rather than a silent zero.
@@ -123,24 +125,21 @@ def evaluate_probs(probs, labels, threshold: float = 0.5) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def ssim(img_a, img_b, window: int = 8, dynamic_range: float = 1.0) -> float:
-    """Mean structural similarity over dense square windows of one image pair."""
-    return mean_ssim(np.asarray(img_a)[None], np.asarray(img_b)[None], window, dynamic_range)
+# SSIM's window width (narrower only for smaller images) and the SSIM
+# constants' (0.01 L)^2 and (0.03 L)^2 at dynamic range L = 1
+SSIM_WINDOW = 8
+_C1 = 0.01**2
+_C2 = 0.03**2
 
 
-def mean_ssim(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> float:
-    """Mean SSIM over every dense square window of every image pair: the mean of ``ssim_map``."""
-    return float(np.mean(ssim_map(batch_a, batch_b, window, dynamic_range)))
-
-
-def ssim_map(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> np.ndarray:
+def ssim_map(batch_a, batch_b) -> np.ndarray:
     """SSIM of every dense square window of every image pair, shaped
     (N, H - win + 1, W - win + 1).
 
     Each row of the batches is one image, its trailing two axes H x W. The
-    window is ``min(window, H, W)`` wide. Every window's means, variances and
-    covariance come from 2-D cumulative sums (box sums) of all images at
-    once, so the cost is a few whole-batch passes whatever the window size.
+    window is ``min(SSIM_WINDOW, H, W)`` wide. Every window's means,
+    variances and covariance come from 2-D cumulative sums (box sums) of all
+    images at once, so the cost is a few whole-batch passes.
     Each image's windows depend on that image alone, so a map built from
     blocks of rows is bitwise the map of all rows at once.
     """
@@ -152,7 +151,7 @@ def ssim_map(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> n
     h, w = a.shape[-2:]
     a = a.reshape(n, h, w)
     b = b.reshape(n, h, w)
-    win = min(window, h, w)
+    win = min(SSIM_WINDOW, h, w)
 
     def window_mean(x: np.ndarray) -> np.ndarray:
         c = np.zeros((n, h + 1, w + 1))
@@ -174,8 +173,6 @@ def ssim_map(batch_a, batch_b, window: int = 8, dynamic_range: float = 1.0) -> n
     cov = window_mean(a * b) - dev_a * dev_b
     mu_a = dev_a + mean_a
     mu_b = dev_b + mean_b
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    num = (2 * mu_a * mu_b + _C1) * (2 * cov + _C2)
+    den = (mu_a**2 + mu_b**2 + _C1) * (var_a + var_b + _C2)
     return num / den

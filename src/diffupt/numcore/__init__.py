@@ -1,4 +1,4 @@
-"""Deterministic float64 tensor engine: autodiff, layers, Adam, RNG, heap policy."""
+"""Deterministic float64 tensor engine: autodiff, layers, Adam, RNG, heap and BLAS policy."""
 
 from .tensor import (
     CHWB_TO_NCHW,
@@ -20,6 +20,7 @@ from .tensor import (
     silu,
     softplus,
 )
+from .blas import one_blas_thread
 from .heap import retain_freed_memory
 from .rng import RngStream
 from .optim import MissingGradError, Parameter, adam_step
@@ -47,6 +48,7 @@ __all__ = [
     "embedding",
     "add_channel_bias",
     "retain_freed_memory",
+    "one_blas_thread",
     "RngStream",
     "Parameter",
     "MissingGradError",

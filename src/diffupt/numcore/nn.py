@@ -80,24 +80,23 @@ class Module:
         return b"".join(arr.astype("<f8").tobytes() for arr in arrays)
 
 
-# rows a block of ``in_row_blocks`` comes in multiples of, and the fewest its last block may have
+# rows per pass of ``in_row_blocks``, and the fewest its last block may have
+PASS_ROWS = 64
 BLOCK_ROW_STEP = 8
 
 
-def row_blocks(n: int, block_rows: int) -> list[tuple[int, int]]:
+def row_blocks(n: int) -> list[tuple[int, int]]:
     """The (start, stop) rows of ``in_row_blocks``' passes over n rows: a cut
-    at every multiple of ``block_rows`` (itself a multiple of
-    ``BLOCK_ROW_STEP``), except that a last block under ``BLOCK_ROW_STEP``
-    rows joins the block before it. No rows make one empty block."""
-    if block_rows < 1 or block_rows % BLOCK_ROW_STEP:
-        raise ValueError(f"block_rows must be a positive multiple of {BLOCK_ROW_STEP}, got {block_rows}")
-    cuts = [*range(0, n, block_rows), n] if n else [0, 0]
+    at every multiple of ``PASS_ROWS``, except that a last block under
+    ``BLOCK_ROW_STEP`` rows joins the block before it. No rows make one
+    empty block."""
+    cuts = [*range(0, n, PASS_ROWS), n] if n else [0, 0]
     if len(cuts) > 2 and n - cuts[-2] < BLOCK_ROW_STEP:
         del cuts[-2]
     return list(zip(cuts, cuts[1:]))
 
 
-def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
+def in_row_blocks(net, x: np.ndarray, *per_row: np.ndarray) -> np.ndarray:
     """``net(Tensor(x), *per_row).data`` without gradients, computed over the
     ``row_blocks`` of ``x`` and concatenated along the rows. A pass's buffers
     (each conv's patch matrix or upsampling tap product, each activation) grow
@@ -120,18 +119,19 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
     does not depend on how many rows share its pass: each block's outputs
     are bitwise those rows of one even pass over all rows.
 
-    Each model sets its block from its per-row bytes, the tracemalloc peak
-    of one pass at the pipeline's sizes divided by its rows, so that no
-    block peaks much above the 3.4 MB of the classifier's: the classifier's
-    ``predict_proba`` and ``extract_features`` (27 KB a row) take 128 rows,
-    3.4 MB a block; the latent UNet's ``DenoiserModel.predict`` (52 KB)
-    takes 64, 3.4 MB; the autoencoder's ``encode`` (50 KB) and ``decode``
-    (47 KB) take 64, 3.2 and 3.0 MB. A 250-row denoiser pass took 4-6%
-    longer in 128-row blocks than in one pass, and 8-19% longer in 64-row
-    blocks (medians of 30 alternating repeats, two runs, one BLAS thread,
-    2-vCPU x86-64); sampling spends that to peak at half the 128-row
-    block's 6.7 MB. No rows make one empty pass, so the output keeps its
-    shape.
+    Every model passes ``PASS_ROWS`` rows at a time. A block's peak is its
+    rows times the model's per-row bytes, the tracemalloc peak of one pass at
+    the pipeline's sizes divided by its rows: the classifier's
+    ``predict_proba`` and ``extract_features`` (25 KB a row) peak at 1.6 MB a
+    block, the latent UNet's ``DenoiserModel.predict`` (52 KB) at 3.4 MB, the
+    autoencoder's ``encode`` (50 KB) and ``decode`` (47 KB) at 3.2 and 3.0
+    MB. A 250-row denoiser pass took 4-6% longer in 128-row blocks than in
+    one pass, and 8-19% longer in 64-row blocks (medians of 30 alternating
+    repeats, two runs, one BLAS thread, 2-vCPU x86-64); sampling spends that
+    to peak at half the 128-row block's 6.7 MB. Classifier passes give the
+    same outputs in 64-row blocks as in the 128-row blocks they once took
+    (3.4 MB), and the benchmark's wall time did not move. No rows make one
+    empty pass, so the output keeps its shape.
     """
     def one_pass(a: int, b: int) -> np.ndarray:
         if (b - a) % 2 == 0:
@@ -140,7 +140,7 @@ def in_row_blocks(net, block_rows: int, x: np.ndarray, *per_row: np.ndarray) -> 
         return net(Tensor(x[rows]), *(r[rows] for r in per_row)).data[:-1]
 
     with T.no_grad():
-        return np.concatenate([one_pass(a, b) for a, b in row_blocks(len(x), block_rows)])
+        return np.concatenate([one_pass(a, b) for a, b in row_blocks(len(x))])
 
 
 class ModuleList(Module):

@@ -5,8 +5,9 @@ buffer shaped (3, n): row 0 the values, row 1 the first moment, row 2 the
 second. A lone ``Parameter`` owns a buffer of its own; ``Module.pack_parameters``
 moves all of a model's parameters into one shared buffer, in
 ``named_parameters`` order, and every ``Parameter`` then views its slice of it.
-``adam_step`` updates each contiguous run of the parameters it is given (same
-buffer, adjacent slices, same step count) with whole-buffer operations.
+``adam_step`` updates one contiguous run of them (a whole packed model, or
+its re-initialised head) with whole-run operations, at Kingma and Ba's (2015)
+decays and epsilon for every stage; only the learning rate varies.
 """
 
 from __future__ import annotations
@@ -70,55 +71,47 @@ class Parameter:
         return f"Parameter(shape={self.shape}, steps={self.step_count})"
 
 
-def _runs(params: list[Parameter]) -> list[list[Parameter]]:
-    """``params`` split into maximal runs of adjacent slices of one buffer at one step count."""
-    runs: list[list[Parameter]] = []
-    for p in params:
-        if runs:
-            last = runs[-1][-1]
-            if p.buffer is last.buffer and p.start == last.start + last.tensor.size and p.step_count == last.step_count:
-                runs[-1].append(p)
-                continue
-        runs.append([p])
-    return runs
+# Adam's first- and second-moment decays and the epsilon that keeps its step finite
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(
-    params: list[Parameter],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: list[Parameter], lr: float) -> None:
     """One bias-corrected adaptive-moment update; gradients are consumed.
 
-    Each contiguous run of ``params`` is updated at once, with the same
-    elementwise expressions in the same order as one parameter at a time, so
-    the result is bitwise that of a per-parameter update.
+    ``params`` must be one run: adjacent slices of one buffer, in buffer
+    order, at one step count (``ValueError`` otherwise). The run is updated
+    at once, with the same elementwise expressions in the same order as one
+    parameter at a time, so the result is bitwise that of a per-parameter
+    update.
     """
-    for run in _runs(params):
-        for p in run:
-            if p.tensor.grad is None:
-                raise MissingGradError(f"parameter {p.shape} has no gradient; run backward first")
-        g = np.concatenate([p.tensor.grad.reshape(-1) for p in run])
-        start = run[0].start
-        value, m, v = run[0].buffer[:, start : start + g.size]
-        step = run[0].step_count + 1
-        # two run-sized temporaries: t, and g once v no longer needs it
-        t = (1.0 - beta1) * g
-        m *= beta1
-        m += t
-        np.multiply(g, 1.0 - beta2, out=t)
-        t *= g
-        v *= beta2
-        v += t
-        m_hat = np.divide(m, 1.0 - beta1**step, out=g)
-        m_hat *= lr
-        v_hat = np.divide(v, 1.0 - beta2**step, out=t)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += eps
-        m_hat /= v_hat
-        value -= m_hat
-        for p in run:
-            p.step_count = step
-            p.tensor.grad = None
+    if not params:
+        raise ValueError("adam_step needs at least one parameter")
+    first = params[0]
+    stop = first.start
+    for p in params:
+        if p.tensor.grad is None:
+            raise MissingGradError(f"parameter {p.shape} has no gradient; run backward first")
+        if p.buffer is not first.buffer or p.start != stop or p.step_count != first.step_count:
+            raise ValueError("adam_step updates one run: adjacent slices of one buffer at one step count")
+        stop += p.tensor.size
+    g = np.concatenate([p.tensor.grad.reshape(-1) for p in params])
+    value, m, v = first.buffer[:, first.start : stop]
+    step = first.step_count + 1
+    # two run-sized temporaries: t, and g once v no longer needs it
+    t = (1.0 - BETA1) * g
+    m *= BETA1
+    m += t
+    np.multiply(g, 1.0 - BETA2, out=t)
+    t *= g
+    v *= BETA2
+    v += t
+    m_hat = np.divide(m, 1.0 - BETA1**step, out=g)
+    m_hat *= lr
+    v_hat = np.divide(v, 1.0 - BETA2**step, out=t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += EPS
+    m_hat /= v_hat
+    value -= m_hat
+    for p in params:
+        p.step_count = step
+        p.tensor.grad = None

@@ -594,8 +594,7 @@ def _multi_stage(splits: Splits, ctx: ExperimentContext, rng: RngStream):
 
     def job():
         train_classifier(model, splits.train, regime, rng.split("stage1"), val_ds=splits.val)
-        multi_stage_retrain(model, splits.train, rng.split("stage2"), val_ds=splits.val,
-                            iterations=max(1, regime.iterations // 2), lr=regime.lr, batch=regime.batch)
+        multi_stage_retrain(model, splits.train, regime, rng.split("stage2"), val_ds=splits.val)
         return _evaluate(model, splits.val), _evaluate(model, splits.test)
 
     return model, job

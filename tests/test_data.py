@@ -33,6 +33,19 @@ def test_generate_empty():
     assert ds.class_counts == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "counts, name",
+    [((-1, 3), "n_negative"), ((2.5, 3), "n_negative"), ((True, 2), "n_negative"), ((3, -1), "n_positive"), ((3, 2.0), "n_positive")],
+)
+def test_generate_rejects_counts_that_are_not_whole_numbers(counts, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 0"):
+        generate_synth_fundus(SynthFundusConfig(), *counts)
+
+
+def test_generate_takes_numpy_counts():
+    assert generate_synth_fundus(SynthFundusConfig(), np.int64(2), np.int32(1)).class_counts == (2, 1)
+
+
 def test_generate_table_ratio():
     ds = generate_synth_fundus(SynthFundusConfig(seed=1), 5000, 463)
     assert ds.class_counts == (5000, 463)

@@ -308,6 +308,28 @@ def test_sample_empty_batch():
     assert m.calls == 0
 
 
+@pytest.mark.parametrize("y", [2, -1, True, 1.0, np.int64(2)])  # 2 is the null token
+def test_sample_rejects_a_class_outside_zero_and_one(y):
+    m = _CountingModel((1, 2, 2))
+    with pytest.raises(ValueError, match="^y must be class 0 or 1"):
+        sample_raw(m, 3, y, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10), RngStream(14))
+    assert m.calls == 0
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, 2.5])
+def test_sample_rejects_a_count_that_is_not_a_whole_number(n):
+    m = _CountingModel((1, 2, 2))
+    with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
+        sample_raw(m, n, 1, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10), RngStream(14))
+    assert m.calls == 0
+
+
+def test_sample_takes_numpy_classes_and_counts():
+    s, m = linear_schedule(10), _CountingModel((1, 2, 2))
+    out = sample_raw(m, np.int64(3), np.int8(0), GuidanceSpec(), SampleMethod("ddim", 5), s, RngStream(14))
+    assert out.shape == (3, 1, 2, 2)
+
+
 def test_sample_ddim_model_pair_accounting():
     s = linear_schedule(1000)
     m = _CountingModel((1, 2, 2))

@@ -132,42 +132,47 @@ def test_auc_matches_pairwise_oracle(seed):
 # ---------------------------------------------------------------------------
 
 
+def _mean_ssim(a, b):
+    """The report's figure: the mean of ``ssim_map`` over every window of every pair."""
+    return float(np.mean(M.ssim_map(a, b)))
+
+
 def test_ssim_self_is_one():
     rng = RngStream(6)
-    x = rng.uniform((16, 16))
-    assert M.ssim(x, x) == pytest.approx(1.0)
+    x = rng.uniform((1, 16, 16))
+    assert np.allclose(M.ssim_map(x, x), 1.0, rtol=0, atol=1e-12)
 
 
 def test_ssim_inverted_is_worse():
     rng = RngStream(7)
-    x = rng.uniform((16, 16))
-    assert M.ssim(x, 1.0 - x) < M.ssim(x, x)
+    x = rng.uniform((1, 16, 16))
+    assert _mean_ssim(x, 1.0 - x) < _mean_ssim(x, x)
 
 
 def test_ssim_constant_shift_cancels():
     # Checkerboard perturbation keeps every 8x8 window mean equal, so the
     # luminance term cancels and a constant shift of both images is inert.
     rng = RngStream(8)
-    x = rng.uniform((16, 16), 0.2, 0.6)
+    x = rng.uniform((1, 16, 16), 0.2, 0.6)
     checker = 0.05 * ((-1.0) ** (np.add.outer(np.arange(16), np.arange(16))))
     y = x + checker
-    base = M.ssim(x, y)
-    shifted = M.ssim(x + 0.2, y + 0.2)
+    base = _mean_ssim(x, y)
+    shifted = _mean_ssim(x + 0.2, y + 0.2)
     assert shifted == pytest.approx(base, abs=1e-6)
 
 
 def test_ssim_shape_mismatch_errors():
     with pytest.raises(ValueError):
-        M.ssim(np.zeros((8, 8)), np.zeros((8, 9)))
+        M.ssim_map(np.zeros((1, 8, 8)), np.zeros((1, 8, 9)))
 
 
-def ssim_per_window_reference(a, b, window=8, dynamic_range=1.0):
+def ssim_per_window_reference(a, b):
     """SSIM by its definition: every dense window's statistics, one image at a time."""
     a = a.reshape(a.shape[-2], a.shape[-1])
     b = b.reshape(b.shape[-2], b.shape[-1])
     h, w = a.shape
-    win = min(window, h, w)
-    c1, c2 = (0.01 * dynamic_range) ** 2, (0.03 * dynamic_range) ** 2
+    win = min(8, h, w)
+    c1, c2 = 0.01**2, 0.03**2  # images in [0, 1]
     vals = []
     for i in range(h - win + 1):
         for j in range(w - win + 1):
@@ -176,7 +181,7 @@ def ssim_per_window_reference(a, b, window=8, dynamic_range=1.0):
             cov = (wa * wb).mean() - mu_a * mu_b
             num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
             vals.append(num / ((mu_a**2 + mu_b**2 + c1) * (wa.var() + wb.var() + c2)))
-    return np.mean(vals)
+    return np.array(vals).reshape(h - win + 1, w - win + 1)
 
 
 def _batches(seed, shape):
@@ -186,19 +191,21 @@ def _batches(seed, shape):
 
 
 @pytest.mark.parametrize(
-    "a,b,window",
+    "a,b",
     [
-        pytest.param(*_batches(9, (20, 1, 16, 16)), 8, id="random"),
-        pytest.param(*_batches(10, (7, 11, 13)), 5, id="random-11x13"),
-        pytest.param(np.full((3, 1, 16, 16), 0.7), np.full((3, 1, 16, 16), 0.3), 8, id="constant"),
-        pytest.param(*_batches(11, (5, 1, 8, 8)), 8, id="window-is-image"),
-        pytest.param(*_batches(12, (4, 6, 6)), 10, id="window-over-image"),
+        pytest.param(*_batches(9, (20, 1, 16, 16)), id="random"),
+        pytest.param(*_batches(10, (7, 11, 13)), id="random-11x13"),
+        pytest.param(np.full((3, 1, 16, 16), 0.7), np.full((3, 1, 16, 16), 0.3), id="constant"),
+        pytest.param(*_batches(11, (5, 1, 8, 8)), id="window-is-image"),
+        pytest.param(*_batches(12, (4, 6, 7)), id="window-over-image"),  # a 6x6 window
     ],
 )
-def test_mean_ssim_equals_the_per_window_definition(a, b, window):
-    ref = np.mean([ssim_per_window_reference(x, y, window) for x, y in zip(a, b)])
-    assert M.mean_ssim(a, b, window=window) == pytest.approx(ref, rel=0, abs=1e-12)
-    assert M.ssim(a[0], b[0], window=window) == pytest.approx(ssim_per_window_reference(a[0], b[0], window), rel=0, abs=1e-12)
+def test_mean_ssim_equals_the_per_window_definition(a, b):
+    ref = np.stack([ssim_per_window_reference(x, y) for x, y in zip(a, b)])
+    out = M.ssim_map(a, b)
+    assert out.shape == ref.shape
+    assert np.allclose(out, ref, rtol=0, atol=1e-12)
+    assert _mean_ssim(a, b) == pytest.approx(np.mean(ref), rel=0, abs=1e-12)
 
 
 def test_evaluate_probs_bundles_the_confusion_it_derives_from():

@@ -15,11 +15,10 @@ from diffupt.classifier import ClassifierModel, TrainRegime, bce_loss, multi_sta
 from diffupt.data import SynthFundusConfig, generate_synth_fundus
 from diffupt.diffusion import DiffusionTrainConfig, UNetDenoiser, diffusion_loss, linear_schedule, sinusoidal_embedding
 from diffupt.latentae import AeTrainConfig, Autoencoder, decode, encode, reconstruction_report
-from diffupt.metrics import mean_ssim
-from diffupt.numcore import Linear, NonFiniteError, RngStream, ShapeError, Tensor, adam_step, backward, no_grad
-from diffupt.numcore.nn import BLOCK_ROW_STEP, in_row_blocks
+from diffupt.metrics import ssim_map
+from diffupt.numcore import Linear, NonFiniteError, Parameter, RngStream, ShapeError, Tensor, adam_step, backward, no_grad
+from diffupt.numcore import nn
 from diffupt.numcore.tensor import _sigmoid_np
-from diffupt.numcore.optim import _runs
 from test_numcore import conv2d_bruteforce
 
 
@@ -49,7 +48,7 @@ def _report_in_one_pass(ae, images, z, split):
     """The oracle: ``reconstruction_report`` from one decoder pass over every row."""
     with no_grad():
         recon = ae.decode_t(Tensor(z)).data
-    return (split, float(np.mean((recon - images) ** 2)), mean_ssim(images, np.clip(recon, 0.0, 1.0)))
+    return (split, float(np.mean((recon - images) ** 2)), float(np.mean(ssim_map(images, np.clip(recon, 0.0, 1.0)))))
 
 
 @pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 454])  # around the 64-row blocks, and the report's 454
@@ -158,13 +157,13 @@ def _decode_pass(rows):
     return lambda: decode(ae, z), lambda: _one_pass(ae.decode_t, z)
 
 
-# path: (module holding its row constant, the constant, (blocked call, one-pass oracle) for n rows)
+# path: n rows -> (blocked call, one-pass oracle)
 BLOCKED_PASSES = {
-    "denoiser.predict": (D, "DENOISER_PASS_ROWS", _denoiser_pass),
-    "predict_proba": (C, "CLASSIFIER_PASS_ROWS", _classifier_pass),
-    "extract_features": (C, "CLASSIFIER_PASS_ROWS", _features_pass),
-    "encode": (L, "AE_PASS_ROWS", _encode_pass),
-    "decode": (L, "AE_PASS_ROWS", _decode_pass),
+    "denoiser.predict": _denoiser_pass,
+    "predict_proba": _classifier_pass,
+    "extract_features": _features_pass,
+    "encode": _encode_pass,
+    "decode": _decode_pass,
 }
 
 
@@ -174,9 +173,8 @@ ANY_ROWS = (0, 1, 2, 6, 7, 8, 9, 10, 16, 17, 18, 21, 26)
 
 @pytest.mark.parametrize("path, rows", [(path, rows) for path in BLOCKED_PASSES for rows in ANY_ROWS])
 def test_passes_in_row_blocks_equal_one_pass_bitwise(path, rows, monkeypatch):
-    module, constant, make = BLOCKED_PASSES[path]
-    monkeypatch.setattr(module, constant, BLOCK_ROW_STEP)  # the smallest block
-    blocked, one_pass = make(rows)
+    monkeypatch.setattr(nn, "PASS_ROWS", nn.BLOCK_ROW_STEP)  # the smallest block
+    blocked, one_pass = BLOCKED_PASSES[path](rows)
     out, oracle = blocked(), one_pass()
     assert out.shape == oracle.shape and out.shape[0] == rows
     assert np.array_equal(out, oracle)
@@ -220,7 +218,7 @@ def _pipeline_sized_pass(path):
 
 @pytest.mark.parametrize("path", ["denoiser.predict", "encode", "decode", "extract_features", "predict_proba"])
 def test_each_row_at_the_real_block_sizes_equals_that_row_of_one_larger_pass(path):
-    # the passes run at their real row constants (64 or 128), so an n-row call
+    # the passes run at the real ``PASS_ROWS``, so an n-row call
     # cuts its blocks elsewhere than the one larger pass does; every n is tried,
     # since a path can be wrong at a few row counts only
     blocked, larger = _pipeline_sized_pass(path)
@@ -228,12 +226,6 @@ def test_each_row_at_the_real_block_sizes_equals_that_row_of_one_larger_pass(pat
         out = blocked(n)
         assert out.shape[0] == n
         assert np.array_equal(out, larger[:n]), n
-
-
-@pytest.mark.parametrize("block_rows", [0, 3, 12])
-def test_row_blocks_come_in_multiples_of_the_step(block_rows):
-    with pytest.raises(ValueError, match="multiple"):
-        in_row_blocks(lambda x: x, block_rows, np.zeros((20, 2)))
 
 
 def _peak_bytes(fn) -> int:
@@ -255,8 +247,7 @@ PIPELINE_SIZED = {
 @pytest.mark.parametrize("path", PIPELINE_SIZED)
 def test_pass_peak_memory_does_not_grow_with_its_rows(path):
     # one pass over all rows would peak about eight times higher
-    module, constant, _ = BLOCKED_PASSES[path]
-    block = getattr(module, constant)
+    block = nn.PASS_ROWS
     one_block, eight_blocks = (_peak_bytes(PIPELINE_SIZED[path](rows)[0]) for rows in (block, 8 * block))
     assert eight_blocks <= 1.3 * one_block
 
@@ -340,7 +331,7 @@ def test_stage_two_trains_only_the_head_and_leaves_no_feature_gradients():
     model, ds = _stage_one()
     features = [p.data.copy() for p in _feature_parameters(model)]
     head = [p.data.copy() for p in model.head.parameters()]
-    multi_stage_retrain(model, ds, RngStream(7), val_ds=ds, iterations=5, batch=8)
+    multi_stage_retrain(model, ds, TrainRegime(iterations=10, batch=8), RngStream(7), val_ds=ds)
     for p, before in zip(_feature_parameters(model), features):
         assert p.data.tobytes() == before.tobytes() and p.tensor.grad is None
     assert all(not np.array_equal(p.data, before) for p, before in zip(model.head.parameters(), head))
@@ -355,7 +346,7 @@ def test_stage_two_trains_only_the_head_and_leaves_no_feature_gradients():
 
 
 def test_stage_two_computes_the_training_features_once(monkeypatch):
-    train = generate_synth_fundus(SynthFundusConfig(seed=4), 200, 100)  # three 128-row blocks
+    train = generate_synth_fundus(SynthFundusConfig(seed=4), 200, 100)  # five 64-row blocks
     val = generate_synth_fundus(SynthFundusConfig(seed=8), 30, 10)  # one block
     calls = []
     features_t = ClassifierModel.features_t
@@ -365,12 +356,12 @@ def test_stage_two_computes_the_training_features_once(monkeypatch):
         return features_t(self, x)
 
     monkeypatch.setattr(ClassifierModel, "features_t", counted)
-    for iterations in (5, 50):  # both validate once, at the end
+    for iterations in (10, 100):  # stage 2 runs 5 and 50: both validate once, at the end
         model = ClassifierModel(train.images.shape[1:], RngStream(5))
         model.trained = True
         calls.clear()
-        multi_stage_retrain(model, train, RngStream(7), val_ds=val, iterations=iterations, batch=8)
-        assert calls == [128, 128, 44, 40]
+        multi_stage_retrain(model, train, TrainRegime(iterations=iterations, batch=8), RngStream(7), val_ds=val)
+        assert calls == [64, 64, 64, 64, 44, 40]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +433,6 @@ def _train_pair(fused, looped, loss_of, params_of, steps=5, lr=1e-3):
 def test_fused_adam_equals_the_per_parameter_loop_bitwise(name):
     build, loss_of = MODELS[name]
     fused, looped = build(3), build(3)
-    assert len(_runs(fused.parameters())) == 1  # the whole model is one run
     _train_pair(fused, looped, loss_of, lambda m: m.parameters())
     assert all(p.step_count == 5 for p in fused.parameters())
 
@@ -452,9 +442,35 @@ def test_fused_adam_equals_the_loop_on_a_reinitialised_head():
     _train_pair(fused, looped, _classifier_loss, lambda m: m.parameters(), steps=2)
     for model in (fused, looped):
         model.head.reset(RngStream(9))
-    assert len(_runs(fused.head.parameters())) == 1  # step 0 head after step 2 features
     _train_pair(fused, looped, _head_loss, lambda m: m.head.parameters())
     assert [p.step_count for p in fused.parameters()] == [2] * (len(fused.parameters()) - 2) + [5, 5]
+
+
+def _non_runs():
+    """Parameter lists that are not one run, each with every gradient set."""
+    stepped = _classifier(3)  # the head at step 0 after two steps of the whole model
+    _train_pair(stepped, _classifier(3), _classifier_loss, lambda m: m.parameters(), steps=2)
+    stepped.head.reset(RngStream(9))
+    params = _classifier(3).parameters()
+    lists = {
+        "two buffers": [Parameter(np.ones(2)), Parameter(np.ones(2))],
+        "a gap": params[:1] + params[2:],
+        "out of order": params[::-1],
+        "two step counts": stepped.parameters(),
+    }
+    for ps in lists.values():
+        for p in ps:
+            p.tensor.grad = np.ones(p.shape)
+    return lists
+
+
+@pytest.mark.parametrize("case", ["two buffers", "a gap", "out of order", "two step counts"])
+def test_adam_rejects_parameters_that_are_not_one_run(case):
+    params = _non_runs()[case]
+    before = [(p.buffer.copy(), p.step_count) for p in params]
+    with pytest.raises(ValueError, match="one run"):
+        adam_step(params, 1e-3)
+    assert all(p.buffer.tobytes() == b.tobytes() and p.step_count == s for p, (b, s) in zip(params, before))
 
 
 def test_reinit_head_draws_a_fresh_head_in_place():
@@ -482,6 +498,26 @@ def test_nan_in_a_classifier_weight_makes_predict_proba_raise():
     model.mix.w.data[0, 0, 1, 1] = np.nan
     with pytest.raises(NonFiniteError):
         model.predict_proba(RngStream(4).uniform((3, 1, 16, 16)))
+
+
+# an lr this large throws the weights so far after one step that the next forward overflows
+_HUGE_LR = 1e150
+
+
+def test_classifier_training_divergence_names_the_stage_and_the_iteration():
+    ds = generate_synth_fundus(SynthFundusConfig(seed=4), 40, 16)
+    model = ClassifierModel(ds.images.shape[1:], RngStream(5))
+    with np.errstate(all="ignore"), pytest.raises(D.DivergenceError, match="^classifier training diverged at iteration 1: ") as info:
+        train_classifier(model, ds, TrainRegime(iterations=5, batch=8, lr=_HUGE_LR), RngStream(6))
+    assert isinstance(info.value.__cause__, NonFiniteError)
+
+
+def test_autoencoder_training_divergence_names_the_stage_and_the_iteration():
+    ds = generate_synth_fundus(SynthFundusConfig(seed=4), 40, 16)
+    ae = Autoencoder(16, 1, 8, 4, RngStream(5))
+    with np.errstate(all="ignore"), pytest.raises(D.DivergenceError, match="^autoencoder training diverged at iteration 1: ") as info:
+        L.train_autoencoder(ae, ds, AeTrainConfig(iterations=5, batch=8, lr=_HUGE_LR), RngStream(6))
+    assert isinstance(info.value.__cause__, NonFiniteError)
 
 
 # ---------------------------------------------------------------------------

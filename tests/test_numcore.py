@@ -40,6 +40,7 @@ from diffupt.numcore import (
 from diffupt.classifier import ClassifierModel, bce_loss
 from diffupt.diffusion import UNetDenoiser, diffusion_loss, linear_schedule
 from diffupt.numcore import tensor as tops
+from diffupt.pipeline import _usable_cpus
 
 
 def to_chwb(a):
@@ -701,6 +702,7 @@ class _TwoLayerNet(Module):
         super().__init__()
         self.c1 = Conv2d(1, 2, rng)
         self.l1 = Linear(2 * 16, 3, rng)
+        self.pack_parameters()  # as every model does, so Adam steps it as one run
 
     def __call__(self, x):
         h = silu(self.c1(permute(x, NCHW_TO_CHWB)))
@@ -785,8 +787,9 @@ def test_adam_zero_grad_fixed_point():
 def test_adam_first_step_is_signed_lr():
     p = Parameter(np.array([1.0, 1.0]))
     p.tensor.grad = np.array([0.5, -0.25])
-    adam_step([p], lr=0.01, eps=1e-12)
-    assert np.allclose(p.data, [1.0 - 0.01, 1.0 + 0.01], atol=1e-8)
+    adam_step([p], lr=0.01)
+    # the step is lr * g / (|g| + 1e-8): within 4e-10 of lr in size at these gradients
+    assert np.allclose(p.data, [1.0 - 0.01, 1.0 + 0.01], rtol=0, atol=1e-9)
     assert p.tensor.grad is None
 
 
@@ -912,3 +915,39 @@ def test_retained_memory_is_reused_without_page_faults():
 
     assert faults("default") > 1000  # glibc hands each step's buffers back and faults them in again
     assert faults("retain") < 100
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+_BLAS_THREADS = """
+import ctypes
+from pathlib import Path
+
+import numpy as np
+
+(lib,) = [lib for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")
+          if hasattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_")]
+threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+before = threads()
+import diffupt  # noqa: F401,E402  (importing the package sets one BLAS thread)
+print(before, threads())
+"""
+
+
+def _has_bundled_openblas():
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return any(hasattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_") for lib in libdir.glob("*openblas*"))
+
+
+@pytest.mark.skipif(not _has_bundled_openblas(), reason="numpy's bundled OpenBLAS only")
+@pytest.mark.skipif(_usable_cpus() < 2, reason="one thread is the default on one CPU")
+def test_importing_the_package_leaves_openblas_one_thread():
+    # a fresh process without the variables that would fix the thread count before numpy loads
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(diffupt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True, text=True, check=True, timeout=60)
+    before, after = map(int, out.stdout.split())
+    assert before > 1  # OpenBLAS's default: a thread per usable CPU
+    assert after == 1
