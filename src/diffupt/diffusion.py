@@ -6,6 +6,10 @@ Class conditioning goes through a 3-row embedding table (class 0, class 1,
 and a null token at index 2); unconditional capacity is trained by
 replacing labels with the null token at a configured probability, and
 sampling combines the two predictions as (1+w)*cond - w*uncond.
+
+The sampler draws nothing: ``sample_raw`` maps the starting noise it is given
+to samples, each row from its own noise row, so its caller's draw decides
+every sample whatever batches it is run in.
 """
 
 from __future__ import annotations
@@ -364,23 +368,21 @@ def predict_eps(model: DenoiserModel, x: np.ndarray, t: int, y: int, w: float) -
 
 def sample_raw(
     model: DenoiserModel,
-    n: int,
+    x: np.ndarray,
     y: int,
     guidance: GuidanceSpec,
     method: SampleMethod,
     sched: NoiseSchedule,
-    rng: RngStream,
 ) -> np.ndarray:
-    """Reverse-process samples of class ``y`` (0 or 1), unclamped
-    (``latentae.latent_diffusion_sample`` decodes and clamps them)."""
-    if not is_count(n):
-        raise ValueError(f"n must be a whole number >= 0, got {n!r}")
+    """DDIM from the noise ``x``, shaped (n, *model.data_shape), to samples of
+    class ``y`` (0 or 1), unclamped (``pipeline.GenerativeStack.sample_class``
+    decodes and clamps them). Nothing is drawn here: each output row is a
+    function of its own noise row alone."""
     if not (is_count(y) and y <= 1):
         raise ValueError(f"y must be class 0 or 1, got {y!r}")
-    shape = (n,) + tuple(model.data_shape)
-    if n == 0:
-        return np.zeros(shape)
-    x = rng.normal(shape)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != tuple(model.data_shape):
+        raise ShapeError(f"expected noise shaped (N,{tuple(model.data_shape)}), got {x.shape}")
     ts = ddim_timesteps(sched.T, method.steps)
     for i, t in enumerate(ts):
         t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0

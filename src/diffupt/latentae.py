@@ -5,8 +5,9 @@ small multichannel latent; diffusion then runs on whitened latents (the
 per-channel shift/scale calibrated after training is stored with the
 model weights). ``encode`` and ``decode`` work on raw latents; ``whiten``
 and ``unwhiten`` convert between those and what diffusion sees.
-``latent_diffusion_sample`` is the one path from noise to images: sample
-whitened latents, unwhiten, decode, clamp into [0, 1].
+The one path from noise to images is ``pipeline.GenerativeStack.sample_class``:
+DDIM from given whitened-latent noise (``diffusion.sample_raw``), then
+``unwhiten``, ``decode`` and a clamp into [0, 1].
 """
 
 from __future__ import annotations
@@ -181,24 +182,3 @@ def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, r
             adam_step(params, cfg.lr)
         except nc.NonFiniteError as e:
             raise df.DivergenceError(f"autoencoder training diverged at iteration {i}: {e}") from e
-
-
-def latent_diffusion_sample(
-    ae: Autoencoder,
-    denoiser: df.DenoiserModel,
-    n: int,
-    y: int,
-    guidance: df.GuidanceSpec,
-    method: df.SampleMethod,
-    sched: df.NoiseSchedule,
-    rng: RngStream,
-) -> np.ndarray:
-    """Sample whitened latents, unwhiten, decode, clamp into [0,1]."""
-    if tuple(denoiser.data_shape) != tuple(ae.latent_shape):
-        raise ShapeError(
-            f"denoiser works on {denoiser.data_shape} but autoencoder latents are {ae.latent_shape}"
-        )
-    if n == 0:
-        return np.zeros((0,) + ae.image_shape)
-    z = df.sample_raw(denoiser, n, y, guidance, method, sched, rng)
-    return np.clip(decode(ae, unwhiten(ae, z)), 0.0, 1.0)

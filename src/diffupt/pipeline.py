@@ -6,6 +6,15 @@ already-trained baseline classifier, pretrain a fresh classifier on it
 (model-selected against the real validation set), then fine-tune on the
 real set at a tenth of the learning rate.
 
+Generation has one path. Each class draws the noise for its whole attempt
+budget once (``_generate_class``); ``GenerativeStack.sample_class`` turns
+each ``gen_batch``-row block of it into images by deterministic DDIM, which
+draws nothing, then ``unwhiten``, ``decode`` and a clamp; the baseline filter
+keeps some, until the class's target is kept. So the kept images do not depend
+on ``gen_batch``: it changes only how many rows are ``attempted``, a whole
+number of blocks. ``filtering_ablation`` runs that path twice on one stream,
+without and with the filter.
+
 Independent work runs in two lanes (``_lanes``): given a list of jobs, this
 process runs the first half in order while a forked worker runs the rest, and
 the results come back in job order. The worker has three uses. It trains the
@@ -46,6 +55,8 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
+from . import diffusion as df
+from . import latentae
 from . import metrics as M
 from .classifier import ClassifierModel, TrainRegime, embedding_statistics, multi_stage_retrain, train_classifier
 from .data import SYNTHETIC, LabeledDataset, check_counts, class_dataset, concat_datasets, is_count, smote_oversample
@@ -65,7 +76,6 @@ from .latentae import (
     ReconstructionReport,
     calibrate_and_report,
     encode,
-    latent_diffusion_sample,
     train_autoencoder,
     whiten,
 )
@@ -211,7 +221,7 @@ class GenerationPlan:
     filter: str = "baseline"  # none | baseline
     filter_threshold: float = 0.5
     max_attempts_factor: float = 5.0
-    gen_batch: int = 256
+    gen_batch: int = 256  # rows per sampling pass: it moves `attempted`, never the kept images
 
     def __post_init__(self):
         counts = self.target_counts
@@ -242,9 +252,6 @@ class GenerationStats:
 
 def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierModel, threshold: float) -> np.ndarray:
     """Keep samples the baseline assigns to the target class at >= threshold."""
-    samples = np.asarray(samples)
-    if samples.shape[0] == 0:
-        return samples
     p = baseline.predict_proba(samples)
     p_target = p if target_class == 1 else 1.0 - p
     return samples[p_target >= threshold]
@@ -278,8 +285,12 @@ class GenerativeStack:
     ae_report: ReconstructionReport | None = None
     unet_losses: np.ndarray | None = None  # the denoiser's per-iteration training loss
 
-    def sample_class(self, n: int, y: int, guidance: GuidanceSpec, method: SampleMethod, rng: RngStream) -> np.ndarray:
-        return latent_diffusion_sample(self.ae, self.denoiser, n, y, guidance, method, self.sched, rng)
+    def sample_class(self, noise: np.ndarray, y: int, guidance: GuidanceSpec, method: SampleMethod) -> np.ndarray:
+        """The one path from noise to images: DDIM from whitened-latent ``noise``,
+        shaped (n, *ae.latent_shape), to class ``y``, then unwhiten, decode and
+        clamp into [0, 1]. Each image depends on its own noise row alone."""
+        z = df.sample_raw(self.denoiser, noise, y, guidance, method, self.sched)
+        return np.clip(latentae.decode(self.ae, latentae.unwhiten(self.ae, z)), 0.0, 1.0)
 
 
 def train_generative_stack(train_ds: LabeledDataset, cfg: StackConfig, rng: RngStream) -> GenerativeStack:
@@ -308,15 +319,18 @@ class _ClassDraw:
 def _generate_class(
     stack: GenerativeStack, plan: GenerationPlan, baseline: ClassifierModel | None, cls: int, rng: RngStream
 ) -> _ClassDraw:
-    """Sample class ``cls`` in batches of ``plan.gen_batch`` until its target is
-    kept or its attempt budget is spent."""
-    target, budget = plan.target_counts[cls], plan.attempt_budget(cls)
+    """Sample class ``cls`` from one noise draw of its whole attempt budget, in
+    blocks of ``plan.gen_batch`` rows, until its target is kept or the draw is
+    spent. Every image is a function of its own noise row, so the kept images
+    do not depend on ``gen_batch``; only ``attempted`` (whole blocks) does."""
+    target = plan.target_counts[cls]
     kept = [np.zeros((0,) + stack.ae.image_shape)]
     n_kept = attempted = 0
-    while n_kept < target and attempted < budget:
-        n = min(plan.gen_batch, budget - attempted)
-        batch = stack.sample_class(n, cls, plan.guidance, plan.method, rng)
-        attempted += n
+    for noise in rng.normal_blocks(plan.attempt_budget(cls), stack.ae.latent_shape, plan.gen_batch):
+        if n_kept >= target:
+            break
+        batch = stack.sample_class(noise, cls, plan.guidance, plan.method)
+        attempted += len(noise)
         if plan.filter == "baseline":
             batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
         kept.append(batch[: target - n_kept])
@@ -682,8 +696,8 @@ def distribution_ablation(
     ctx: ExperimentContext | None = None,
 ) -> list[DistributionRow]:
     """Pretrain-only models on synthetic sets of varying class composition."""
-    if not is_count(total):
-        raise ValueError(f"total must be a whole number >= 0, got {total!r}")
+    if not (is_count(total) and total >= 1):
+        raise ValueError(f"total must be a whole number >= 1, got {total!r}")
     for pos_pct, neg_pct in distributions:
         if not (0 <= pos_pct <= 100 and 0 <= neg_pct <= 100):
             raise ValueError(f"distribution shares must lie in [0, 100], got {pos_pct}-{neg_pct}")
@@ -724,22 +738,23 @@ def filtering_ablation(
     rng: RngStream,
     ctx: ExperimentContext | None = None,
 ) -> list[FilteringRow]:
-    """Same pipeline twice from one candidate pool: all samples vs filtered."""
+    """Same pipeline twice from one candidate stream per class: its first
+    samples (no filter) vs the first that pass the baseline filter."""
     ctx = ctx or ExperimentContext()
     baseline, stack = ctx.ensure_models(splits, rng)
     plan = ctx.diffupt_cfg.generation
     gen_rng = rng.split("shared-pool")
 
-    def draw(cls: int) -> tuple[np.ndarray, np.ndarray]:
-        """One batch of the class's whole budget: its first ``target`` samples, and the first ``target`` that pass the filter."""
-        target = plan.target_counts[cls]
-        pool = stack.sample_class(plan.attempt_budget(cls), cls, plan.guidance, plan.method, gen_rng.split(f"class{cls}"))
-        return pool[:target], filter_samples(pool, cls, baseline, plan.filter_threshold)[:target]
+    def draw(cls: int) -> list[np.ndarray]:
+        """The class's kept samples unfiltered and filtered, both from the same noise."""
+        return [
+            _generate_class(stack, replace(plan, filter=f), baseline, cls, gen_rng.split(f"class{cls}")).kept
+            for f in ("none", "baseline")
+        ]
 
-    # the two classes in two lanes; a class with no target draws nothing
-    empty = np.zeros((0,) + stack.ae.image_shape)
+    # the two classes in two lanes; a class with no target draws nothing, so it is no work for the worker
     drawn = _lanes([partial(draw, cls) if plan.target_counts[cls] else None for cls in (0, 1)])
-    all_samples, filtered = zip(*(d or (empty, empty) for d in drawn))
+    all_samples, filtered = zip(*(d or draw(cls) for cls, d in enumerate(drawn)))
 
     rows = []
     for label, kept in (("all_samples", all_samples), ("filtered_samples", filtered)):

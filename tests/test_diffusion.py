@@ -300,40 +300,32 @@ def test_ddim_is_the_only_sampler_kind():
         SampleMethod("ddpm")
 
 
-def test_sample_empty_batch():
-    s = linear_schedule(10)
-    m = _CountingModel((1, 4, 4))
-    out = sample_raw(m, 0, 1, GuidanceSpec(), SampleMethod("ddim", 5), s, RngStream(14))
-    assert out.shape == (0, 1, 4, 4)
-    assert m.calls == 0
-
-
 @pytest.mark.parametrize("y", [2, -1, True, 1.0, np.int64(2)])  # 2 is the null token
 def test_sample_rejects_a_class_outside_zero_and_one(y):
     m = _CountingModel((1, 2, 2))
     with pytest.raises(ValueError, match="^y must be class 0 or 1"):
-        sample_raw(m, 3, y, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10), RngStream(14))
+        sample_raw(m, np.zeros((3, 1, 2, 2)), y, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10))
     assert m.calls == 0
 
 
-@pytest.mark.parametrize("n", [-1, 2.0, True, 2.5])
-def test_sample_rejects_a_count_that_is_not_a_whole_number(n):
+@pytest.mark.parametrize("shape", [(3, 1, 2, 3), (3, 2, 2, 2), (3, 4), (1, 2, 2), ()])
+def test_sample_rejects_noise_rows_of_another_shape(shape):
     m = _CountingModel((1, 2, 2))
-    with pytest.raises(ValueError, match="^n must be a whole number >= 0"):
-        sample_raw(m, n, 1, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10), RngStream(14))
+    with pytest.raises(ShapeError, match="noise"):
+        sample_raw(m, np.zeros(shape), 1, GuidanceSpec(), SampleMethod("ddim", 5), linear_schedule(10))
     assert m.calls == 0
 
 
-def test_sample_takes_numpy_classes_and_counts():
+def test_sample_takes_numpy_classes():
     s, m = linear_schedule(10), _CountingModel((1, 2, 2))
-    out = sample_raw(m, np.int64(3), np.int8(0), GuidanceSpec(), SampleMethod("ddim", 5), s, RngStream(14))
+    out = sample_raw(m, np.zeros((3, 1, 2, 2)), np.int8(0), GuidanceSpec(), SampleMethod("ddim", 5), s)
     assert out.shape == (3, 1, 2, 2)
 
 
 def test_sample_ddim_model_pair_accounting():
     s = linear_schedule(1000)
     m = _CountingModel((1, 2, 2))
-    sample_raw(m, 3, 1, GuidanceSpec(), SampleMethod("ddim", 50), s, RngStream(15))
+    sample_raw(m, np.zeros((3, 1, 2, 2)), 1, GuidanceSpec(), SampleMethod("ddim", 50), s)
     assert m.calls == 100  # 50 steps x (conditional + unconditional)
 
 
@@ -355,7 +347,8 @@ def test_sample_two_gaussian_toy_means():
     train_diffusion(model, x0, y, cfg, sched, rng.split("train"))
     tol = 0.15 * np.linalg.norm(mu)
     for cls, target in [(0, -mu), (1, mu)]:
-        s = sample_raw(model, 300, cls, GuidanceSpec(1.0), SampleMethod("ddim", 50), sched, rng.split(f"s{cls}"))
+        noise = rng.split(f"s{cls}").normal((300, 2))
+        s = sample_raw(model, noise, cls, GuidanceSpec(1.0), SampleMethod("ddim", 50), sched)
         assert np.linalg.norm(s.mean(axis=0) - target) < tol
 
 

@@ -85,19 +85,27 @@ class _ZeroNoise:
 _SAMPLING = (D.GuidanceSpec(3.0), D.SampleMethod("ddim", steps=3), linear_schedule(20))
 
 
-def test_latent_sample_of_no_rows_runs_no_denoiser_pass():
-    ae = Autoencoder(16, 1, 8, 4, RngStream(0))
-    denoiser = _ZeroNoise(ae.latent_shape)
-    assert L.latent_diffusion_sample(ae, denoiser, 0, 1, *_SAMPLING, RngStream(4)).shape == (0, 1, 16, 16)
-    assert denoiser.calls == 0
+def _stack(ae, denoiser):
+    return P.GenerativeStack(ae=ae, denoiser=denoiser, sched=_SAMPLING[2])
+
+
+def test_no_rows_pass_through_the_sampler_and_the_filter():
+    # zero rows take the same passes as any other count; no step special-cases them
+    stack = _stack(Autoencoder(16, 1, 8, 4, RngStream(0)), UNetDenoiser((4, 4, 4), 8, RngStream(1), emb_dim=8))
+    images = stack.sample_class(np.zeros((0, 4, 4, 4)), 1, *_SAMPLING[:2])
+    assert images.shape == (0, 1, 16, 16)
+    baseline = ClassifierModel((1, 16, 16), RngStream(3))
+    assert baseline.predict_proba(images).shape == (0,)
+    assert P.filter_samples(images, 1, baseline, 0.5).shape == (0, 1, 16, 16)
 
 
 def test_latent_sample_is_its_decoded_latents_clamped_into_the_unit_interval():
     ae = _randomized(Autoencoder(16, 1, 8, 4, RngStream(0)))
     ae.latent_shift[...], ae.latent_scale[...] = 0.5, 2.0
     denoiser = _ZeroNoise(ae.latent_shape)
-    out = L.latent_diffusion_sample(ae, denoiser, 5, 1, *_SAMPLING, RngStream(4))
-    raw = decode(ae, L.unwhiten(ae, D.sample_raw(denoiser, 5, 1, *_SAMPLING, RngStream(4))))
+    noise = RngStream(4).normal((5, *ae.latent_shape))
+    out = _stack(ae, denoiser).sample_class(noise, 1, *_SAMPLING[:2])
+    raw = decode(ae, L.unwhiten(ae, D.sample_raw(denoiser, noise, 1, *_SAMPLING)))
     assert raw.min() < 0.0 and raw.max() > 1.0  # so the clamp has work to do
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert np.array_equal(out, np.clip(raw, 0.0, 1.0))
@@ -114,8 +122,11 @@ def test_unwhiten_inverts_whiten():
 
 def test_latent_sample_rejects_a_denoiser_of_other_latents():
     ae = Autoencoder(16, 1, 8, 4, RngStream(0))
-    with pytest.raises(ShapeError, match="latents"):
-        L.latent_diffusion_sample(ae, _ZeroNoise((4, 2, 2)), 3, 1, *_SAMPLING, RngStream(4))
+    denoiser = _ZeroNoise((4, 2, 2))
+    # the autoencoder's latents do not fit the denoiser, and the denoiser's output does not fit the decoder
+    for noise, match in ((np.zeros((3, *ae.latent_shape)), "noise"), (np.zeros((3, 4, 2, 2)), "latents")):
+        with pytest.raises(ShapeError, match=match):
+            _stack(ae, denoiser).sample_class(noise, 1, *_SAMPLING[:2])
 
 
 def _one_pass(net, x, *per_row):

@@ -81,6 +81,14 @@ def test_an_experiment_reruns_to_the_same_digests_and_keeps_its_classifiers_weig
     }
 
 
+def test_one_experiment_generates_each_class_in_several_batches():
+    # the others reach each target in their first batch, where any batch size gives the same images
+    one = parent_check.tiny_experiment("diffupt_run")[0].generation_stats
+    two = parent_check.tiny_experiment("diffupt_run_in_batches_of_2")[0].generation_stats
+    assert one.attempted == (6, 6) and two.attempted == (4, 4)
+    assert one.kept == two.kept == (3, 3)
+
+
 def test_an_experiment_run_in_a_checkout_imports_that_checkouts_program():
     out, err = parent_check.run_experiment(ROOT, "diffupt_run", "lanes")
     assert err is None

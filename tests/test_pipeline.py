@@ -77,8 +77,7 @@ def test_filter_samples_keeps_each_class_at_or_above_the_threshold_in_input_orde
     baseline = _FixedBaseline()
     assert np.array_equal(P.filter_samples(samples, 1, baseline, 0.75), samples[[1, 2]])
     assert np.array_equal(P.filter_samples(samples, 0, baseline, 0.75), samples[[0, 3]])
-    empty = P.filter_samples(samples[:0], 1, baseline, 0.75)
-    assert empty.shape == (0, 1, 2, 2) and baseline.calls == 2
+    assert baseline.calls == 2
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +169,30 @@ def test_filtering_ablation_rerun_bitwise():
     assert len(rows[1].synthetic) <= 6
 
 
+def test_a_class_keeps_the_same_images_at_any_generation_batch():
+    # one noise draw of the whole budget decides every image; gen_batch only rounds up what is attempted
+    ctx = _tiny_context()
+    baseline, stack = ctx.ensure_models(_tiny_splits(3), RngStream(3))
+    budget, target = 15, 4
+    for cls in (0, 1):
+        plan = ctx.diffupt_cfg.generation
+        everything = stack.sample_class(RngStream(7).normal((budget, *stack.ae.latent_shape)), cls, plan.guidance, plan.method)
+        p = baseline.predict_proba(everything)
+        p_target = p if cls == 1 else 1.0 - p
+        threshold = float(np.median(p_target))  # about half the candidates pass
+        passed = np.flatnonzero(p_target >= threshold)
+        needed = passed[target - 1] + 1  # candidates up to the one that completes the target
+        assert target < needed < budget
+        plan = replace(
+            plan, target_counts=(target, target), filter="baseline", filter_threshold=threshold, max_attempts_factor=budget / target
+        )
+        assert plan.attempt_budget(cls) == budget
+        for gen_batch in (1, 7, budget):  # one row, an odd size that does not divide the budget, all of it
+            draw = P._generate_class(stack, replace(plan, gen_batch=gen_batch), baseline, cls, RngStream(7))
+            assert np.array_equal(draw.kept, everything[passed[:target]])
+            assert draw.attempted == min(budget, -(-needed // gen_batch) * gen_batch)
+
+
 def test_unknown_method_raises_before_any_training(monkeypatch):
     calls = []
     monkeypatch.setattr(P, "train_classifier", lambda *a, **k: calls.append(a))
@@ -217,19 +240,22 @@ def test_bad_distribution_raises_before_any_training(monkeypatch):
     "distributions, total, match",
     [
         ([(50, 50)], -6, "^total must"),
+        ([(50, 50)], 0, "^total must"),
         ([(50, 50)], 6.0, "^total must"),
         ([(50, 50)], True, "^total must"),
         ([(50, 50), (-10, 110)], 6, r"\[0, 100\]"),
         ([(110, -10)], 6, r"\[0, 100\]"),
     ],
-    ids=["negative total", "float total", "bool total", "negative share", "share over 100"],
+    ids=["negative total", "zero total", "float total", "bool total", "negative share", "share over 100"],
 )
 def test_bad_total_or_share_raises_before_any_training(distributions, total, match, monkeypatch):
-    # each would train the baseline and the stack and only then fail at a plan of negative or float counts
+    # each would train the baseline and the stack and only then fail: at a plan of negative
+    # or float counts, or (total 0) in pretraining on an empty synthetic set
     calls = _record_training(monkeypatch)
+    ctx = _tiny_context()
     with pytest.raises(ValueError, match=match):
-        P.distribution_ablation(_tiny_splits(), distributions, total, RngStream(0), ctx=_tiny_context())
-    assert calls == []
+        P.distribution_ablation(_tiny_splits(), distributions, total, RngStream(0), ctx=ctx)
+    assert calls == [] and ctx.baseline is None and ctx.stack is None
 
 
 @pytest.mark.parametrize("minority", [0, 1])
@@ -321,7 +347,7 @@ def test_sampling_peak_memory_does_not_grow_with_the_batch():
         denoiser=UNetDenoiser((4, 4, 4), 16, RngStream(1), emb_dim=32),
         sched=linear_schedule(1000),
     )
-    sample = lambda n: stack.sample_class(n, 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2), RngStream(2))  # noqa: E731
+    sample = lambda n: stack.sample_class(RngStream(2).normal((n, 4, 4, 4)), 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2))  # noqa: E731
     sample(250)  # warm numpy's and the engine's caches, which the first pass fills
     peak_250, peak_1000 = (_peak_bytes(lambda: sample(n)) for n in (250, 1000))
     assert peak_1000 - peak_250 <= 750 * SAMPLER_BYTES_PER_ROW
@@ -338,7 +364,7 @@ def test_sample_class_reaches_sample_raw_and_decode_through_their_modules(monkey
         denoiser=UNetDenoiser((4, 4, 4), 8, RngStream(1), emb_dim=8),
         sched=linear_schedule(20),
     )
-    out = stack.sample_class(3, 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2), RngStream(2))
+    out = stack.sample_class(RngStream(2).normal((3, 4, 4, 4)), 1, GuidanceSpec(3.0), SampleMethod("ddim", steps=2))
     assert out.shape == (3, 1, 16, 16)
     assert calls == ["sample_raw", "decode"]
 

@@ -4,7 +4,8 @@
 
 In each checkout, runs ``perfbench/run.py --workload W --seed S --seconds 0``
 (one timed unit) for both workloads at seeds 0-9, then the five experiments
-at a tiny configuration (``tiny_experiment``). Each run happens twice: once
+at a tiny configuration, and ``diffupt_run`` once more with each class
+generated in several batches (``tiny_experiment``). Each run happens twice: once
 as started, where the worker lanes run when the process may use two CPUs,
 and once pinned to CPU 0 with ``taskset -c 0``, where every job runs inline;
 both with ``OPENBLAS_NUM_THREADS=1``. For each workload, seed and mode it
@@ -37,7 +38,14 @@ SEEDS = range(10)
 MODES = {"lanes": [], "inline": ["taskset", "-c", "0"]}
 FIGURES = ("val_hm", "test_hm", "test_auc", "failed_frac")
 COUNTS = ("attempted", "kept")  # diffupt's per-class generation counts
-EXPERIMENTS = ("run_comparison", "augmentation_sweep", "distribution_ablation", "filtering_ablation", "diffupt_run")
+EXPERIMENTS = (
+    "run_comparison",
+    "augmentation_sweep",
+    "distribution_ablation",
+    "filtering_ablation",
+    "diffupt_run",
+    "diffupt_run_in_batches_of_2",
+)
 METHODS = [
     "normal",
     "weighted_ce",
@@ -154,7 +162,9 @@ def tiny_experiment(name: str) -> tuple[object, list[bytes]]:
     """Experiment ``name``'s result and every classifier's ``weight_bytes``
     (in build order) at a tiny configuration: 84 surrogate images at seed 3,
     a few iterations per stage, and no generation filter, so no class falls
-    short. It uses the ``diffupt`` already imported or importable."""
+    short. Every class reaches its target in its first 6-row generation
+    batch, except in ``diffupt_run_in_batches_of_2``, whose 2-row batches take
+    two a class. It uses the ``diffupt`` already imported or importable."""
     from diffupt import pipeline as P
     from diffupt.classifier import TrainRegime
     from diffupt.data import SynthFundusConfig, generate_synth_fundus, stratified_split
@@ -189,12 +199,14 @@ def tiny_experiment(name: str) -> tuple[object, list[bytes]]:
     ds = generate_synth_fundus(SynthFundusConfig(seed=EXPERIMENT_SEED), 60, 24)
     splits = P.Splits(*stratified_split(ds, (0.7, 0.15, 0.15), test_minority_fraction=0.2, seed=EXPERIMENT_SEED))
     rng = RngStream(EXPERIMENT_SEED)
+    in_batches_of_2 = dataclasses.replace(ctx.diffupt_cfg, generation=dataclasses.replace(plan, gen_batch=2))
     experiments = {
         "run_comparison": lambda: P.run_comparison(splits, METHODS, rng, ctx=ctx),
         "augmentation_sweep": lambda: P.augmentation_sweep(splits, [0, 4], rng, ctx=ctx),
         "distribution_ablation": lambda: P.distribution_ablation(splits, [(50, 50), (30, 70)], 6, rng, ctx=ctx),
         "filtering_ablation": lambda: P.filtering_ablation(splits, rng, ctx=ctx),
         "diffupt_run": lambda: P.diffupt_run(splits, ctx.diffupt_cfg, rng, ctx=ctx),
+        "diffupt_run_in_batches_of_2": lambda: P.diffupt_run(splits, in_batches_of_2, rng, ctx=ctx),
     }
     result = experiments[name]()
     return result, [m.weight_bytes() for m in ctx.models]
