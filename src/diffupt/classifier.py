@@ -18,10 +18,10 @@ import numpy as np
 from . import metrics as M
 from . import numcore as nc
 from .data import IndexSampler, LabeledDataset, check_counts, class_weights
-from .diffusion import DivergenceError
 from .numcore import (
     NCHW_TO_CHWB,
     Conv2d,
+    DivergenceError,
     Linear,
     Module,
     RngStream,

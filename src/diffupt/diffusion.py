@@ -4,7 +4,7 @@ deterministic DDIM (eta = 0, Song et al. 2021) with classifier-free guidance.
 The trained network predicts the noise injected by the forward process.
 Class conditioning goes through a 3-row embedding table (class 0, class 1,
 and a null token at index 2); unconditional capacity is trained by
-replacing labels with the null token at a configured probability, and
+replacing labels with the null token at probability ``P_UNCOND``, and
 sampling combines the two predictions as (1+w)*cond - w*uncond.
 
 The sampler draws nothing: ``sample_raw`` maps the starting noise it is given
@@ -25,6 +25,7 @@ from .numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
     Conv2d,
+    DivergenceError,
     Embedding,
     Linear,
     Module,
@@ -42,10 +43,15 @@ from .numcore import (
 )
 
 NULL_TOKEN = 2
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+# denoiser training: batch rows, Adam learning rate, the share of labels replaced
+# by NULL_TOKEN, and the decay of the weight average it leaves for sampling
+UNET_BATCH = 32
+UNET_LR = 1e-3
+P_UNCOND = 0.1
+EMA_DECAY = 0.999
+# the linear schedule's first and last beta
+BETA_START = 1e-4
+BETA_END = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +78,11 @@ class NoiseSchedule:
             raise ValueError(f"timestep out of range [1,{self.T}]: {t.min()}..{t.max()}")
 
 
-def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def linear_schedule(T: int) -> NoiseSchedule:
+    """T betas evenly spaced from ``BETA_START`` to ``BETA_END``."""
     if T < 2:
         raise ValueError(f"T must be >= 2, got {T}")
-    if not (0.0 < beta_start < beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start < beta_end < 1, got ({beta_start}, {beta_end})")
-    beta = np.linspace(beta_start, beta_end, T)
+    beta = np.linspace(BETA_START, BETA_END, T)
     return NoiseSchedule(T=T, beta=beta, alpha_bar=np.cumprod(1.0 - beta))
 
 
@@ -232,18 +237,11 @@ class UNetDenoiser(DenoiserModel):
 # ---------------------------------------------------------------------------
 
 
-def diffusion_loss(
-    model: DenoiserModel,
-    x0: np.ndarray,
-    y: np.ndarray,
-    sched: NoiseSchedule,
-    rng: RngStream,
-    p_uncond: float = 0.1,
-) -> Tensor:
+def diffusion_loss(model: DenoiserModel, x0: np.ndarray, y: np.ndarray, sched: NoiseSchedule, rng: RngStream) -> Tensor:
     """Mean squared noise-prediction error over a batch.
 
     Per sample: t ~ U{1..T}, eps ~ N(0,I), and the class label is replaced
-    by the null token with probability p_uncond.
+    by the null token with probability ``P_UNCOND``.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape[0] == 0:
@@ -252,9 +250,7 @@ def diffusion_loss(
     t = rng.integers((b,), 1, sched.T + 1)
     eps = rng.normal(x0.shape)
     y_used = np.asarray(y, dtype=np.int64).copy()
-    if p_uncond > 0:
-        drop = rng.uniform((b,)) < p_uncond
-        y_used[drop] = NULL_TOKEN
+    y_used[rng.uniform((b,)) < P_UNCOND] = NULL_TOKEN
     z_t = q_sample(x0, t, eps, sched)
     eps_hat = model(Tensor(z_t), t, y_used)
     diff = eps_hat - Tensor(eps)
@@ -263,20 +259,12 @@ def diffusion_loss(
 
 @dataclass
 class DiffusionTrainConfig:
+    """Training length; ``UNET_BATCH``, ``UNET_LR``, ``P_UNCOND`` and ``EMA_DECAY`` are constants."""
+
     iterations: int = 3000
-    batch: int = 32
-    lr: float = 1e-3
-    p_uncond: float = 0.1
-    ema_decay: float = 0.999  # weight average used for sampling stability
 
     def __post_init__(self):
         check_counts(self, 0, "iterations")
-        check_counts(self, 1, "batch")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("p_uncond", "ema_decay"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def train_diffusion(
@@ -287,10 +275,10 @@ def train_diffusion(
     sched: NoiseSchedule,
     rng: RngStream,
 ) -> np.ndarray:
-    """Train in place; returns the per-iteration loss curve.
+    """Train in place in ``UNET_BATCH``-row batches at Adam lr ``UNET_LR``; returns the per-iteration loss curve.
 
-    The model is left holding an exponential moving average of its weights,
-    which damps end-of-training optimizer noise in the learned score.
+    The model is left holding an exponential moving average of its weights
+    (decay ``EMA_DECAY``), which damps end-of-training optimizer noise in the learned score.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape[0] == 0:
@@ -298,21 +286,19 @@ def train_diffusion(
     n = x0.shape[0]
     params = model.parameters()
     losses = np.zeros(cfg.iterations)
-    if cfg.iterations == 0:
-        return losses
     values = model.parameter_buffer[0]
     ema = values.copy()
     for i in range(cfg.iterations):
-        idx = rng.integers((cfg.batch,), 0, n)
+        idx = rng.integers((UNET_BATCH,), 0, n)
         try:
-            loss = diffusion_loss(model, x0[idx], y[idx], sched, rng, cfg.p_uncond)
+            loss = diffusion_loss(model, x0[idx], y[idx], sched, rng)
             val = loss.item()
             backward(loss)
-            adam_step(params, cfg.lr)
+            adam_step(params, UNET_LR)
         except nc.NonFiniteError as e:
             raise DivergenceError(f"diffusion training diverged at iteration {i}: {e}") from e
         losses[i] = val
-        d = min(cfg.ema_decay, (i + 1.0) / (i + 10.0))
+        d = min(EMA_DECAY, (i + 1.0) / (i + 10.0))
         ema *= d
         ema += (1.0 - d) * values
     values[...] = ema

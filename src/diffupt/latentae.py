@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffusion as df
 from . import numcore as nc
 from .data import LabeledDataset, check_counts
 from .metrics import ssim_map
@@ -24,6 +23,7 @@ from .numcore import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
     Conv2d,
+    DivergenceError,
     Module,
     RngStream,
     ShapeError,
@@ -103,17 +103,17 @@ def calibrate_latents(ae: Autoencoder, z: np.ndarray) -> None:
 
 @dataclass
 class AeTrainConfig:
+    """Training length; ``AE_BATCH`` and ``AE_LR`` are constants."""
+
     iterations: int = 1200
-    batch: int = 32
-    lr: float = 2e-3
 
     def __post_init__(self):
         check_counts(self, 0, "iterations")
-        check_counts(self, 1, "batch")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
+# autoencoder training's batch rows and Adam learning rate
+AE_BATCH = 32
+AE_LR = 2e-3
 # the share of a set's last rows kept out of autoencoder training for the report
 _HOLDOUT_FRACTION = 0.1
 
@@ -163,7 +163,8 @@ def calibrate_and_report(ae: Autoencoder, images: np.ndarray, z: np.ndarray, tra
 
 
 def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, rng: RngStream) -> None:
-    """MSE-train in place on the leading ``training_rows`` of ``ds``; then
+    """MSE-train in place on the leading ``training_rows`` of ``ds``, in
+    ``AE_BATCH``-row batches at Adam learning rate ``AE_LR``; then
     ``calibrate_and_report`` sets the whitening from the set's latents."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
@@ -172,13 +173,13 @@ def train_autoencoder(ae: Autoencoder, ds: LabeledDataset, cfg: AeTrainConfig, r
 
     params = ae.parameters()
     for i in range(cfg.iterations):
-        idx = rng.integers((cfg.batch,), 0, n)
+        idx = rng.integers((AE_BATCH,), 0, n)
         batch = Tensor(train_imgs[idx])
         try:
             recon = ae.decode_t(ae.encode_t(batch))
             diff = recon - batch
             loss = (diff * diff).mean()
             backward(loss)
-            adam_step(params, cfg.lr)
+            adam_step(params, AE_LR)
         except nc.NonFiniteError as e:
-            raise df.DivergenceError(f"autoencoder training diverged at iteration {i}: {e}") from e
+            raise DivergenceError(f"autoencoder training diverged at iteration {i}: {e}") from e

@@ -3,6 +3,7 @@
 from .tensor import (
     CHWB_TO_NCHW,
     NCHW_TO_CHWB,
+    DivergenceError,
     NonFiniteError,
     ShapeError,
     Tensor,
@@ -32,6 +33,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
+    "DivergenceError",
     "no_grad",
     "in_row_blocks",
     "row_blocks",

@@ -97,6 +97,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
+    "DivergenceError",
     "no_grad",
     "backward",
     "matmul",
@@ -124,6 +125,10 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """An op produced NaN or Inf."""
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite value; raised from the ``NonFiniteError``."""
 
 
 class _Tape(threading.local):

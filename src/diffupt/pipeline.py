@@ -12,8 +12,8 @@ each ``gen_batch``-row block of it into images by deterministic DDIM, which
 draws nothing, then ``unwhiten``, ``decode`` and a clamp; the baseline filter
 keeps some, until the class's target is kept. So the kept images do not depend
 on ``gen_batch``: it changes only how many rows are ``attempted``, a whole
-number of blocks. ``filtering_ablation`` runs that path twice on one stream,
-without and with the filter.
+number of blocks. ``filtering_ablation`` runs that path once a class, with
+the filter, and takes the unfiltered images from the first samples it drew.
 
 Independent work runs in two lanes (``_lanes``): given a list of jobs, this
 process runs the first half in order while a forked worker runs the rest, and
@@ -262,8 +262,8 @@ def filter_samples(samples: np.ndarray, target_class: int, baseline: ClassifierM
 # ---------------------------------------------------------------------------
 
 
-# The generative stack's sizes. The schedule's betas are ``linear_schedule``'s
-# defaults, 1e-4 to 0.02, and the UNet's depth follows from the latent's size.
+# The generative stack's sizes. The schedule's betas are ``diffusion``'s
+# ``BETA_START`` and ``BETA_END``, and the UNet's depth follows from the latent's size.
 AE_BASE_CHANNELS = 16
 LATENT_CHANNELS = 4
 UNET_BASE_CHANNELS = 16
@@ -314,6 +314,7 @@ class _ClassDraw:
 
     kept: np.ndarray  # samples that passed the plan's filter, at most the class target
     attempted: int
+    head: np.ndarray  # the first samples drawn, before the filter, at most the class target
 
 
 def _generate_class(
@@ -322,20 +323,24 @@ def _generate_class(
     """Sample class ``cls`` from one noise draw of its whole attempt budget, in
     blocks of ``plan.gen_batch`` rows, until its target is kept or the draw is
     spent. Every image is a function of its own noise row, so the kept images
-    do not depend on ``gen_batch``; only ``attempted`` (whole blocks) does."""
+    do not depend on ``gen_batch``; only ``attempted`` (whole blocks) does.
+    ``head`` copies the first ``target`` samples, before the filter."""
     target = plan.target_counts[cls]
-    kept = [np.zeros((0,) + stack.ae.image_shape)]
+    empty = np.zeros((0,) + stack.ae.image_shape)
+    kept, head = [empty], [empty]
     n_kept = attempted = 0
     for noise in rng.normal_blocks(plan.attempt_budget(cls), stack.ae.latent_shape, plan.gen_batch):
         if n_kept >= target:
             break
         batch = stack.sample_class(noise, cls, plan.guidance, plan.method)
+        if attempted < target:
+            head.append(batch[: target - attempted].copy())
         attempted += len(noise)
         if plan.filter == "baseline":
             batch = filter_samples(batch, cls, baseline, plan.filter_threshold)
         kept.append(batch[: target - n_kept])
         n_kept += len(kept[-1])
-    return _ClassDraw(np.concatenate(kept), attempted)
+    return _ClassDraw(np.concatenate(kept), attempted, np.concatenate(head))
 
 
 def generate_balanced_dataset(
@@ -738,19 +743,18 @@ def filtering_ablation(
     rng: RngStream,
     ctx: ExperimentContext | None = None,
 ) -> list[FilteringRow]:
-    """Same pipeline twice from one candidate stream per class: its first
-    samples (no filter) vs the first that pass the baseline filter."""
+    """Same pipeline twice from one filtered generation pass per class: its first
+    samples (``head``, no filter) vs the first that pass the baseline filter at
+    ``plan.filter_threshold`` (``kept``), whatever ``plan.filter`` says."""
     ctx = ctx or ExperimentContext()
     baseline, stack = ctx.ensure_models(splits, rng)
-    plan = ctx.diffupt_cfg.generation
+    plan = replace(ctx.diffupt_cfg.generation, filter="baseline")
     gen_rng = rng.split("shared-pool")
 
-    def draw(cls: int) -> list[np.ndarray]:
-        """The class's kept samples unfiltered and filtered, both from the same noise."""
-        return [
-            _generate_class(stack, replace(plan, filter=f), baseline, cls, gen_rng.split(f"class{cls}")).kept
-            for f in ("none", "baseline")
-        ]
+    def draw(cls: int) -> tuple[np.ndarray, np.ndarray]:
+        """The class's first samples, unfiltered, and the first that pass the filter."""
+        d = _generate_class(stack, plan, baseline, cls, gen_rng.split(f"class{cls}"))
+        return d.head, d.kept
 
     # the two classes in two lanes; a class with no target draws nothing, so it is no work for the worker
     drawn = _lanes([partial(draw, cls) if plan.target_counts[cls] else None for cls in (0, 1)])

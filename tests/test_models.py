@@ -287,15 +287,7 @@ def test_regime_rejects_sizes_that_cannot_train(bad):
     "config, bad",
     [
         (AeTrainConfig, {"iterations": -1}),
-        (AeTrainConfig, {"batch": 0}),
         (DiffusionTrainConfig, {"iterations": -1}),
-        (DiffusionTrainConfig, {"batch": 0}),
-        (DiffusionTrainConfig, {"p_uncond": 1.5}),
-        (DiffusionTrainConfig, {"p_uncond": -0.1}),
-        (DiffusionTrainConfig, {"p_uncond": float("nan")}),
-        (DiffusionTrainConfig, {"ema_decay": 2.0}),
-        (DiffusionTrainConfig, {"ema_decay": -1e-3}),
-        *((config, bad) for config in (AeTrainConfig, DiffusionTrainConfig) for bad in _BAD_LRS),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
@@ -312,9 +304,7 @@ def test_generator_configs_reject_sizes_that_cannot_train(config, bad):
         (TrainRegime, {"batch": 2.5}),
         (TrainRegime, {"eval_every": np.float64(10.0)}),
         (AeTrainConfig, {"iterations": 1.5}),
-        (AeTrainConfig, {"batch": True}),
         (DiffusionTrainConfig, {"iterations": 3.0}),
-        (DiffusionTrainConfig, {"batch": 3.5}),
         (D.SampleMethod, {"steps": 2.5}),
         (P.GenerationPlan, {"gen_batch": 2.5}),
     ],
@@ -327,9 +317,8 @@ def test_count_settings_reject_fractions_and_booleans(config, bad):
 
 
 def test_generator_configs_accept_their_bounds():
-    AeTrainConfig(iterations=0, batch=1, lr=5e-324)
-    for p in (0.0, 1.0):
-        DiffusionTrainConfig(iterations=0, batch=1, lr=5e-324, p_uncond=p, ema_decay=p)
+    AeTrainConfig(iterations=0)
+    DiffusionTrainConfig(iterations=0)
     TrainRegime(iterations=0, batch=1, eval_every=1, lr=5e-324)
     TrainRegime(iterations=np.int64(0), batch=np.int32(1), eval_every=np.uint8(1))
 
@@ -523,11 +512,13 @@ def test_classifier_training_divergence_names_the_stage_and_the_iteration():
     assert isinstance(info.value.__cause__, NonFiniteError)
 
 
-def test_autoencoder_training_divergence_names_the_stage_and_the_iteration():
+def test_autoencoder_training_divergence_names_the_stage_and_the_iteration(monkeypatch):
+    monkeypatch.setattr(L, "AE_BATCH", 8)
+    monkeypatch.setattr(L, "AE_LR", _HUGE_LR)
     ds = generate_synth_fundus(SynthFundusConfig(seed=4), 40, 16)
     ae = Autoencoder(16, 1, 8, 4, RngStream(5))
     with np.errstate(all="ignore"), pytest.raises(D.DivergenceError, match="^autoencoder training diverged at iteration 1: ") as info:
-        L.train_autoencoder(ae, ds, AeTrainConfig(iterations=5, batch=8, lr=_HUGE_LR), RngStream(6))
+        L.train_autoencoder(ae, ds, AeTrainConfig(iterations=5), RngStream(6))
     assert isinstance(info.value.__cause__, NonFiniteError)
 
 

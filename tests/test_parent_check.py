@@ -87,6 +87,10 @@ def test_one_experiment_generates_each_class_in_several_batches():
     two = parent_check.tiny_experiment("diffupt_run_in_batches_of_2")[0].generation_stats
     assert one.attempted == (6, 6) and two.attempted == (4, 4)
     assert one.kept == two.kept == (3, 3)
+    # the unfiltered row's 3 images a class span two 2-row batches and are the 6-row batch's first 3
+    one, two = (parent_check.tiny_experiment(name)[0] for name in ("filtering_ablation", "filtering_ablation_in_batches_of_2"))
+    assert two[0].synthetic.class_counts == (3, 3)
+    assert parent_check.digest(one) == parent_check.digest(two)
 
 
 def test_an_experiment_run_in_a_checkout_imports_that_checkouts_program():
@@ -107,7 +111,8 @@ def test_only_a_failed_run_fails_the_check_and_moved_fields_are_listed(monkeypat
     monkeypatch.setattr(parent_check, "run_experiment", fake_experiment)
     assert parent_check.main(["parent", "change"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * (len(parent_check.WORKLOADS) * len(parent_check.SEEDS) + len(parent_check.EXPERIMENTS))
+    assert len(parent_check.EXPERIMENTS) == 7
+    assert len(lines) == 2 * (len(parent_check.WORKLOADS) * len(parent_check.SEEDS) + 7) == 54
     assert [line for line in lines if "moved" in line] == [
         "compare seed 1 lanes: weight_hash 'a' -> 'b' moved, val_hm 0.5 equal, test_hm 0.5 equal, test_auc 0.5 equal, failed_frac 0.5 equal",
         "compare seed 1 inline: weight_hash 'a' -> 'b' moved, val_hm 0.5 equal, test_hm 0.5 equal, test_auc 0.5 equal, failed_frac 0.5 equal",

@@ -169,6 +169,33 @@ def test_filtering_ablation_rerun_bitwise():
     assert len(rows[1].synthetic) <= 6
 
 
+def test_filtering_ablation_samples_each_candidate_once(monkeypatch):
+    _cpus(monkeypatch, 1)  # inline, so this process counts both classes
+    rows = []
+    sample_raw = D.sample_raw
+    monkeypatch.setattr(D, "sample_raw", lambda model, x, *args: rows.append(len(x)) or sample_raw(model, x, *args))
+    P.filtering_ablation(_tiny_splits(3), RngStream(3), ctx=_tiny_context())
+    assert rows == [6, 6]  # one 6-row block a class: the budget that reaches the target once
+
+
+def test_filtering_ablation_filters_with_the_baseline_whatever_the_plan_says():
+    ctx = _tiny_context()
+    plan = ctx.diffupt_cfg.generation
+    assert plan.filter == "none"
+    rows = P.filtering_ablation(_tiny_splits(3), RngStream(3), ctx=ctx)
+    assert rows[1].synthetic.class_counts == (0, 3)  # here the filter rejects every class-0 candidate
+    baseline, stack = ctx.baseline, ctx.stack
+    for cls in (0, 1):
+        noise = RngStream(3).split("shared-pool").split(f"class{cls}").normal((plan.attempt_budget(cls), *stack.ae.latent_shape))
+        candidates = stack.sample_class(noise, cls, plan.guidance, plan.method)
+        target = plan.target_counts[cls]
+        passed = P.filter_samples(candidates, cls, baseline, plan.filter_threshold)
+        all_samples, filtered = (row.synthetic.images[row.synthetic.labels == cls] for row in rows)
+        assert np.array_equal(all_samples, candidates[:target])
+        assert np.array_equal(filtered, passed[:target])
+        assert len(P.filter_samples(filtered, cls, baseline, plan.filter_threshold)) == len(filtered)
+
+
 def test_a_class_keeps_the_same_images_at_any_generation_batch():
     # one noise draw of the whole budget decides every image; gen_batch only rounds up what is attempted
     ctx = _tiny_context()

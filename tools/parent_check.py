@@ -4,16 +4,17 @@
 
 In each checkout, runs ``perfbench/run.py --workload W --seed S --seconds 0``
 (one timed unit) for both workloads at seeds 0-9, then the five experiments
-at a tiny configuration, and ``diffupt_run`` once more with each class
-generated in several batches (``tiny_experiment``). Each run happens twice: once
-as started, where the worker lanes run when the process may use two CPUs,
-and once pinned to CPU 0 with ``taskset -c 0``, where every job runs inline;
-both with ``OPENBLAS_NUM_THREADS=1``. For each workload, seed and mode it
-prints the fields of the two ``report`` lines, and for each experiment and
-mode a digest of its figures and one of its classifiers' weights, each
-marked ``equal`` (bitwise, by ``repr``) or ``moved``. It exits 1 when a run
-exits non-zero or is not ``correct``; a moved field alone does not fail it,
-since another machine's BLAS may round differently.
+at a tiny configuration, and ``filtering_ablation`` and ``diffupt_run`` once
+more with each class generated in several batches (``tiny_experiment``).
+Each run happens twice: once as started, where the worker lanes run when
+the process may use two CPUs, and once pinned to CPU 0 with ``taskset -c 0``,
+where every job runs inline; both with ``OPENBLAS_NUM_THREADS=1``. For each
+workload, seed and mode it prints the fields of the two ``report`` lines,
+and for each experiment and mode a digest of its figures and one of its
+classifiers' weights, each marked ``equal`` (bitwise, by ``repr``) or
+``moved``. It exits 1 when a run exits non-zero or is not ``correct``; a
+moved field alone does not fail it, since another machine's BLAS may round
+differently.
 
     python3 tools/parent_check.py --experiment NAME
 
@@ -44,6 +45,7 @@ EXPERIMENTS = (
     "distribution_ablation",
     "filtering_ablation",
     "diffupt_run",
+    "filtering_ablation_in_batches_of_2",
     "diffupt_run_in_batches_of_2",
 )
 METHODS = [
@@ -108,7 +110,7 @@ def run(checkout: Path, workload: str, seed: int, mode: str) -> tuple[dict | Non
 
 
 # ---------------------------------------------------------------------------
-# the five experiments at the tiny configuration
+# the experiments at the tiny configuration
 # ---------------------------------------------------------------------------
 
 
@@ -163,8 +165,9 @@ def tiny_experiment(name: str) -> tuple[object, list[bytes]]:
     (in build order) at a tiny configuration: 84 surrogate images at seed 3,
     a few iterations per stage, and no generation filter, so no class falls
     short. Every class reaches its target in its first 6-row generation
-    batch, except in ``diffupt_run_in_batches_of_2``, whose 2-row batches take
-    two a class. It uses the ``diffupt`` already imported or importable."""
+    batch, except in the experiments ``NAME_in_batches_of_2``, which run
+    ``NAME`` in 2-row batches, two a class, so the 3 unfiltered images of a
+    class span both. It uses the ``diffupt`` already imported or importable."""
     from diffupt import pipeline as P
     from diffupt.classifier import TrainRegime
     from diffupt.data import SynthFundusConfig, generate_synth_fundus, stratified_split
@@ -184,8 +187,13 @@ def tiny_experiment(name: str) -> tuple[object, list[bytes]]:
             self.models.append(model)
             return model
 
+    base = name.removesuffix("_in_batches_of_2")
     plan = P.GenerationPlan(
-        target_counts=(3, 3), method=SampleMethod("ddim", steps=2), filter="none", max_attempts_factor=2.0, gen_batch=6
+        target_counts=(3, 3),
+        method=SampleMethod("ddim", steps=2),
+        filter="none",
+        max_attempts_factor=2.0,
+        gen_batch=6 if base == name else 2,
     )
     ctx = Recording(
         regime=TrainRegime(iterations=3, batch=8, eval_every=2),
@@ -199,16 +207,14 @@ def tiny_experiment(name: str) -> tuple[object, list[bytes]]:
     ds = generate_synth_fundus(SynthFundusConfig(seed=EXPERIMENT_SEED), 60, 24)
     splits = P.Splits(*stratified_split(ds, (0.7, 0.15, 0.15), test_minority_fraction=0.2, seed=EXPERIMENT_SEED))
     rng = RngStream(EXPERIMENT_SEED)
-    in_batches_of_2 = dataclasses.replace(ctx.diffupt_cfg, generation=dataclasses.replace(plan, gen_batch=2))
     experiments = {
         "run_comparison": lambda: P.run_comparison(splits, METHODS, rng, ctx=ctx),
         "augmentation_sweep": lambda: P.augmentation_sweep(splits, [0, 4], rng, ctx=ctx),
         "distribution_ablation": lambda: P.distribution_ablation(splits, [(50, 50), (30, 70)], 6, rng, ctx=ctx),
         "filtering_ablation": lambda: P.filtering_ablation(splits, rng, ctx=ctx),
         "diffupt_run": lambda: P.diffupt_run(splits, ctx.diffupt_cfg, rng, ctx=ctx),
-        "diffupt_run_in_batches_of_2": lambda: P.diffupt_run(splits, in_batches_of_2, rng, ctx=ctx),
     }
-    result = experiments[name]()
+    result = experiments[base]()
     return result, [m.weight_bytes() for m in ctx.models]
 
 
